@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md §4:
+//! Ablation benchmarks for three design choices:
 //! LCE backend inside Approximate-Top-K, plain vs LCP-accelerated
 //! suffix-array search, and the fast hasher behind the hash table `H`.
 

@@ -4,8 +4,8 @@
 //!
 //! Run `cargo run -p usi-bench --release --bin experiments -- list` for
 //! the experiment catalogue; each experiment prints paper-shaped rows to
-//! stdout and writes a TSV under `reports/`. The mapping from experiment
-//! id to paper artifact is in `DESIGN.md` §4 and `EXPERIMENTS.md`.
+//! stdout and writes a TSV under `reports/`. `list` prints the paper
+//! artifact each experiment id reproduces.
 
 pub mod context;
 pub mod experiments;

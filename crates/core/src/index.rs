@@ -6,7 +6,7 @@
 //!   [`UtilityAccumulator`], holding the precomputed global utilities of
 //!   the top-K frequent substrings;
 //! * the text index: suffix array `SA(S)` (standing in for the suffix
-//!   tree, see DESIGN.md §3) locating infrequent patterns;
+//!   tree) locating infrequent patterns;
 //! * `PSW`: prefix sums of the weights, giving any occurrence's local
 //!   utility in `O(1)`.
 //!

@@ -8,8 +8,8 @@
 //! skew, repeat structure (planted long repeats for IOT, tag templates
 //! for XML, order-3 Markov DNA for HUM/ECOLI) — and its utility
 //! distribution (CTR, RSSI, phred-style confidence, or the paper's
-//! uniform `{0.7, 0.75, …, 1}` grid). See DESIGN.md §3 for why this
-//! substitution preserves the experiments' shapes.
+//! uniform `{0.7, 0.75, …, 1}` grid), the properties the experiments'
+//! shapes depend on.
 //!
 //! Also provides the paper's two query-workload families `W1` and
 //! `W2,p` (Section IX-C, "Parameters").

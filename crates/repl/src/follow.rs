@@ -463,12 +463,16 @@ mod tests {
     }
 
     /// Encodes WAL records byte-identically to the primary by writing
-    /// through a real `Wal` and reading the file back.
-    fn wal_bytes(records: &[(&[u8], Vec<f64>)]) -> Vec<u8> {
+    /// through a real `Wal` and reading the file back (magic stripped).
+    /// The scratch file is unique to this call — pid, a per-process
+    /// counter and the calling test's name — so parallel tests never
+    /// share it.
+    fn wal_bytes(test: &str, records: &[(&[u8], Vec<f64>)]) -> Vec<u8> {
+        static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join("usi-repl-follow-tests");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("enc-{}.usil", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        let path = dir.join(format!("enc-{}-{call}-{test}.usil", std::process::id()));
         let (mut w, _) = usi_ingest::Wal::open(&path, false).unwrap();
         for (text, weights) in records {
             w.append(text, weights).unwrap();
@@ -483,7 +487,7 @@ mod tests {
         let doc = FollowerDoc::new("d", base(1), opts());
         assert_eq!(doc.query(b"abc").occurrences, 2);
 
-        let bytes = wal_bytes(&[(b"abcabc", vec![1.0; 6])]);
+        let bytes = wal_bytes("applies_records_and_tracks_lag", &[(b"abcabc", vec![1.0; 6])]);
         doc.note_committed(wal::MAGIC.len() as u64 + bytes.len() as u64, 1);
         assert_eq!(doc.lag_records(), 1);
 
@@ -503,7 +507,7 @@ mod tests {
         // a chunk that does not continue at the applied offset is refused
         assert!(doc.apply_records(start, &bytes).is_err());
         // corrupt bytes fail the CRC re-verification and nothing applies
-        let mut corrupt = wal_bytes(&[(b"xy", vec![1.0; 2])]);
+        let mut corrupt = wal_bytes("applies_records_and_tracks_lag", &[(b"xy", vec![1.0; 2])]);
         let last = corrupt.len() - 1;
         corrupt[last] ^= 0xff;
         let n_before = doc.indexed_len();
@@ -519,10 +523,10 @@ mod tests {
         let records: Vec<(&[u8], Vec<f64>)> =
             vec![(b"abc", vec![1.0; 3]), (b"cab", vec![0.5; 3]), (b"bca", vec![2.0; 3])];
         for record in &records {
-            let bytes = wal_bytes(std::slice::from_ref(record));
+            let bytes = wal_bytes("batching_one_by_one", std::slice::from_ref(record));
             one.apply_records(one.applied_bytes(), &bytes).unwrap();
         }
-        let bytes = wal_bytes(&records);
+        let bytes = wal_bytes("batching_all_at_once", &records);
         all.apply_records(all.applied_bytes(), &bytes).unwrap();
         for pattern in [b"abc".as_slice(), b"ca", b"b", b"bcab"] {
             assert_eq!(one.query(pattern), all.query(pattern), "pattern {pattern:?}");

@@ -13,10 +13,10 @@
 //!
 //! The implementation is deliberately small: request parsing handles
 //! exactly what the API needs (request line, headers, `Content-Length`
-//! bodies), every response carries `Content-Length`, and a fixed-size
-//! [`WorkerPool`] bounds concurrency. Shutdown is graceful:
-//! [`ServerHandle::shutdown`] stops the accept loop, lets queued
-//! connections finish, and joins every thread.
+//! bodies), every response carries `Content-Length`, and a fixed number
+//! of worker threads ([`ServerConfig::workers`]) bounds concurrency.
+//! Shutdown is graceful: [`ServerHandle::shutdown`] stops the workers,
+//! lets in-flight requests finish, and joins every thread.
 //!
 //! Connections are **persistent** (HTTP/1.1 keep-alive): each accepted
 //! socket is answered until the client asks for `Connection: close` (or
@@ -28,18 +28,16 @@
 //! in the per-connection buffer (at most one head + one body ahead)
 //! and are answered in order.
 //!
-//! **Idle connections do not occupy workers.** On Linux a readiness
-//! reactor (the private `reactor` module) parks every idle socket in an epoll
-//! set; a pool worker is borrowed only while a request is actually
-//! being parsed and answered, then the socket is re-armed with the
-//! reactor — tens of thousands of idle keep-alive connections are
-//! served from a handful of workers, with [`ServerConfig::max_connections`]
-//! bounding the total (over-capacity connects get `503` and a close).
-//! On other platforms (or with [`ServerConfig::reactor`] off) the
-//! original thread-per-connection fallback runs: an open connection
-//! occupies its worker until it closes or idles out, so there size
-//! [`ServerConfig::workers`] to the expected number of concurrently
-//! connected clients, not requests.
+//! **Idle connections do not occupy workers.** On Linux the workers
+//! share one epoll set (the private `reactor` module) holding every idle
+//! socket; whichever worker sees a socket turn readable serves it on
+//! the spot, then re-arms it — tens of thousands of idle keep-alive
+//! connections are served from a handful of workers, with
+//! [`ServerConfig::max_connections`] bounding the total (over-capacity
+//! connects get `503` and a close). On other platforms each worker
+//! accepts and serves one connection until it closes or idles out, so
+//! there size [`ServerConfig::workers`] to the expected number of
+//! concurrently connected clients, not requests.
 
 use crate::catalog::{AppendError, Catalog, ReloadError};
 use crate::json::{
@@ -47,13 +45,11 @@ use crate::json::{
     Json,
 };
 use crate::metrics;
-use crate::pool::{ConnVerdict, WorkerPool};
 use crate::reactor;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use usi_ingest::IngestError;
 use usi_obs::{FlightRecord, Span, SpanGuard, TraceId};
@@ -65,7 +61,7 @@ const MAX_BODY: usize = 4 * 1024 * 1024;
 /// Most patterns per `POST /v1/query` request.
 const MAX_PATTERNS: usize = 10_000;
 /// Write-side socket timeout (reads use the configured idle timeout).
-const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
+pub(crate) const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How (and whether) the server logs each request to stderr.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -104,7 +100,7 @@ pub struct ServerConfig {
     pub keep_alive: bool,
     /// How long a persistent connection may sit idle (and how long a
     /// single read may stall) before the server closes it. Bounds the
-    /// time an idle client can hold a pool worker.
+    /// time a stalled client can hold a worker.
     pub idle_timeout: Duration,
     /// Requests served on one connection before the server closes it
     /// (`Connection: close` on the last response) — an upper bound on
@@ -123,12 +119,8 @@ pub struct ServerConfig {
     pub access_log: AccessLog,
     /// Most connections held open at once. A connect past the limit is
     /// answered with `503` (the uniform JSON error body) and closed
-    /// immediately, protecting the reactor's descriptor budget.
+    /// immediately, protecting the server's descriptor budget.
     pub max_connections: usize,
-    /// Serve idle connections from the epoll reactor (Linux). When
-    /// `false` — or on platforms without epoll — every connection pins
-    /// a pool worker for its whole lifetime, the pre-reactor behaviour.
-    pub reactor: bool,
 }
 
 impl Default for ServerConfig {
@@ -144,7 +136,6 @@ impl Default for ServerConfig {
             flight_slow_ms: None,
             access_log: AccessLog::Off,
             max_connections: 100_000,
-            reactor: true,
         }
     }
 }
@@ -156,28 +147,12 @@ impl ServerConfig {
     }
 }
 
-/// How [`ServerHandle::shutdown`] interrupts the serving thread's
-/// blocking wait.
-pub(crate) enum WakeStrategy {
-    /// Wake a blocking `accept()` with a throwaway loopback connection
-    /// (the thread-per-connection fallback has nothing better to poke).
-    Connect,
-    /// Write the reactor's eventfd, which is registered in its epoll
-    /// set — no artificial connection, works even at the descriptor
-    /// limit.
-    #[cfg(target_os = "linux")]
-    Eventfd(Arc<std::fs::File>),
-}
-
 /// A running server; dropping it (or calling
-/// [`ServerHandle::shutdown`]) stops the accept loop and joins every
-/// worker.
+/// [`ServerHandle::shutdown`]) stops the workers and joins them.
 pub struct ServerHandle {
     pub(crate) addr: SocketAddr,
-    pub(crate) stop: Arc<AtomicBool>,
-    pub(crate) thread: Option<JoinHandle<()>>,
-    pub(crate) waker: WakeStrategy,
     pub(crate) open: Arc<AtomicUsize>,
+    pub(crate) workers: Option<reactor::Workers>,
 }
 
 impl ServerHandle {
@@ -195,55 +170,28 @@ impl ServerHandle {
         self.open.load(Ordering::SeqCst)
     }
 
-    /// Stops accepting, drains queued connections and joins all threads.
+    /// Stops accepting, lets in-flight requests finish, closes every
+    /// open connection and joins all threads.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        match &self.waker {
-            WakeStrategy::Connect => {
-                // wake the blocking accept() with a throwaway connection;
-                // a wildcard bind (0.0.0.0 / ::) is not connectable
-                // everywhere, so aim at the loopback of the same family
-                let mut wake = self.addr;
-                if wake.ip().is_unspecified() {
-                    wake.set_ip(match wake.ip() {
-                        std::net::IpAddr::V4(_) => {
-                            std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST)
-                        }
-                        std::net::IpAddr::V6(_) => {
-                            std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST)
-                        }
-                    });
-                }
-                let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
-            }
-            #[cfg(target_os = "linux")]
-            WakeStrategy::Eventfd(fd) => {
-                let _ = (&**fd).write_all(&1u64.to_ne_bytes());
-            }
-        }
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
+        if let Some(workers) = self.workers.take() {
+            workers.stop();
         }
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if self.thread.is_some() {
-            self.stop_and_join();
-        }
+        self.stop_and_join();
     }
 }
 
 /// Starts serving `catalog` on `listener`. Returns immediately; serving
-/// runs on its own thread(s) until the handle shuts down. On Linux with
-/// [`ServerConfig::reactor`] on (the default) connections are parked in
-/// an epoll reactor between requests; otherwise each connection pins a
-/// worker from the fixed pool for its lifetime.
+/// runs on [`ServerConfig::workers`] threads until the handle shuts
+/// down.
 pub fn serve(
     catalog: Arc<Catalog>,
     listener: TcpListener,
@@ -251,72 +199,19 @@ pub fn serve(
 ) -> io::Result<ServerHandle> {
     // pin the uptime epoch: /healthz reports seconds of serving time
     usi_obs::process_start();
-    if config.reactor && reactor::SUPPORTED {
-        return reactor::serve(catalog, listener, config);
-    }
-    serve_threaded(catalog, listener, config)
+    reactor::serve(catalog, listener, config)
 }
 
-/// The portable thread-per-connection path: a blocking accept loop
-/// hands each connection to the pool, which owns it until it closes.
-fn serve_threaded(
-    catalog: Arc<Catalog>,
-    listener: TcpListener,
-    config: ServerConfig,
-) -> io::Result<ServerHandle> {
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
-    let open = Arc::new(AtomicUsize::new(0));
-    let open_count = Arc::clone(&open);
-    let accept = std::thread::Builder::new().name("usi-accept".into()).spawn(move || {
-        let pool = WorkerPool::new(config.workers);
-        loop {
-            let stream = match listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(_) if stop_flag.load(Ordering::SeqCst) => break,
-                Err(_) => {
-                    // transient failure (EMFILE under flood, ECONNABORTED):
-                    // back off instead of hot-spinning, letting in-flight
-                    // requests finish and release descriptors
-                    std::thread::sleep(Duration::from_millis(50));
-                    continue;
-                }
-            };
-            if stop_flag.load(Ordering::SeqCst) {
-                break; // the wake-up connection (or a race with it)
-            }
-            // answers are single writes; never let Nagle hold one back
-            let _ = stream.set_nodelay(true);
-            if open_count.load(Ordering::SeqCst) >= config.max_connections.max(1) {
-                reject_over_capacity(stream);
-                continue;
-            }
-            open_count.fetch_add(1, Ordering::SeqCst);
-            let catalog = Arc::clone(&catalog);
-            let open_count = Arc::clone(&open_count);
-            pool.execute(move |queue_wait| {
-                handle_connection(stream, &catalog, config, queue_wait);
-                open_count.fetch_sub(1, Ordering::SeqCst);
-                ConnVerdict::Close
-            });
-        }
-        // pool drops here: queued connections drain, workers join
-    })?;
-    Ok(ServerHandle { addr, stop, thread: Some(accept), waker: WakeStrategy::Connect, open })
-}
-
-/// Per-connection parse/serve state shared by the thread-per-connection
-/// path and the reactor: the socket, the pipelining carry-over buffer,
-/// and how many requests this connection has answered (the budget
-/// counter).
+/// Per-connection parse/serve state: the socket, the pipelining
+/// carry-over buffer, and how many requests this connection has
+/// answered (the budget counter).
 pub(crate) struct ConnState {
     stream: TcpStream,
     buf: Vec<u8>,
     served: u64,
-    /// How long this connection's current pool job waited in the queue
-    /// — charged to the **first** request the job serves (its `queue`
-    /// stage), then cleared; pipelined follow-ups never waited.
+    /// How long the worker took from its wake-up to serving this
+    /// connection — charged to the **first** request it serves (its
+    /// `queue` stage), then cleared; pipelined follow-ups never waited.
     pending_wait: Option<Duration>,
 }
 
@@ -325,20 +220,15 @@ impl ConnState {
         Self { stream, buf: Vec::with_capacity(1024), served: 0, pending_wait: None }
     }
 
+    /// The socket, for registering it with the epoll set.
+    #[cfg(target_os = "linux")]
     pub(crate) fn stream(&self) -> &TcpStream {
         &self.stream
-    }
-
-    /// Whether the carry-over buffer already holds one complete
-    /// pipelined request (head + body) — servable without reading the
-    /// socket, so the reactor must not park the connection yet.
-    pub(crate) fn has_buffered_request(&self) -> bool {
-        has_complete_request(&self.buf)
     }
 }
 
 /// Outcome of serving a single request on a connection.
-pub(crate) enum Exchange {
+enum Exchange {
     /// Response written, connection stays open for the next request.
     KeepAlive,
     /// The connection is done: client closed/asked to close, idle or
@@ -347,8 +237,8 @@ pub(crate) enum Exchange {
 }
 
 /// A [`Read`] wrapper that remembers when the first byte of the current
-/// request arrived — so the `parse` stage measures parsing, not the
-/// keep-alive idle wait the threaded path spends blocked in `read`.
+/// request arrived — so the `parse` stage measures parsing, not a wait
+/// for the client spent blocked in `read`.
 struct TimedReader<'s> {
     stream: &'s mut TcpStream,
     first_byte: Option<Instant>,
@@ -365,34 +255,20 @@ impl Read for TimedReader<'_> {
 }
 
 /// Serves exactly one request off `conn`: read (through the carry-over
-/// buffer), route, respond. `count_idle` tracks the read wait in the
-/// `usi_http_connections_idle` gauge — the threaded path waits here,
-/// while the reactor accounts idleness in its epoll set instead.
+/// buffer), route, respond.
 ///
 /// Every request gets a fresh [`TraceId`]: it rides the response as
 /// `X-Request-Id` (with a `Server-Timing` stage breakdown), tags every
 /// span the request records down the stack, and keys the flight
 /// recorder entry when the request turns out slow or errored.
-pub(crate) fn serve_one(
-    conn: &mut ConnState,
-    catalog: &Catalog,
-    config: ServerConfig,
-    count_idle: bool,
-) -> Exchange {
+fn serve_one(conn: &mut ConnState, catalog: &Catalog, config: ServerConfig) -> Exchange {
     let m = metrics::server();
     let budget = config.max_requests_per_connection.max(1) as u64;
-    if count_idle {
-        // idle: between responses, waiting on the client's next request
-        m.connections_idle.inc();
-    }
     let entry = Instant::now();
     let had_buffered = !conn.buf.is_empty();
     let mut reader = TimedReader { stream: &mut conn.stream, first_byte: None };
     let parsed = read_request(&mut reader, &mut conn.buf);
     let first_byte = reader.first_byte;
-    if count_idle {
-        m.connections_idle.dec();
-    }
     if let Err(HttpError::Io(_)) = parsed {
         return Exchange::Close; // client went away or idled out
     }
@@ -406,8 +282,8 @@ pub(crate) fn serve_one(
     // parse began when this request's bytes first showed up: carried
     // over from the previous read, or at the first byte off the socket
     let parse_start = if had_buffered { entry } else { first_byte.unwrap_or(entry) };
-    // the request's clock starts when its pool job left the queue (the
-    // wait is part of what the client experienced), else at parse
+    // the request's clock starts when its worker woke up (the wait is
+    // part of what the client experienced), else at parse
     let root_start = match queue_wait {
         Some(wait) => entry.checked_sub(wait).unwrap_or(entry),
         None => parse_start,
@@ -479,11 +355,11 @@ fn trace_headers(trace_id: TraceId) -> String {
     out
 }
 
-/// The reactor's job body: serve the request that epoll reported plus
-/// any complete requests the client pipelined behind it, then report
+/// A worker's serve step: the request that epoll reported plus any
+/// complete requests the client pipelined behind it, then report
 /// whether the connection should be re-armed (`true`) or closed.
-/// `queue_wait` is how long this job sat in the pool queue — charged to
-/// the first request's trace as its `queue` stage.
+/// `queue_wait` is how long the worker took from waking up to starting
+/// — charged to the first request's trace as its `queue` stage.
 pub(crate) fn serve_ready(
     conn: &mut ConnState,
     catalog: &Catalog,
@@ -492,11 +368,11 @@ pub(crate) fn serve_ready(
 ) -> bool {
     conn.pending_wait = Some(queue_wait);
     loop {
-        match serve_one(conn, catalog, config, false) {
+        match serve_one(conn, catalog, config) {
             Exchange::Close => return false,
             // more buffered bytes form a full request: epoll would never
             // fire for them (they already left the socket), serve now
-            Exchange::KeepAlive if conn.has_buffered_request() => {}
+            Exchange::KeepAlive if has_complete_request(&conn.buf) => {}
             Exchange::KeepAlive => return true,
         }
     }
@@ -514,35 +390,13 @@ pub(crate) fn close_connection(conn: ConnState) {
 }
 
 /// Answers an over-capacity connect with the uniform JSON `503` body
-/// and closes it — never enters the pool or the reactor set.
+/// and closes it — never reaches a worker or the epoll set.
 pub(crate) fn reject_over_capacity(mut stream: TcpStream) {
     metrics::server().observe_request("other", 503, 0.0);
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
     let response = error_response(503, "connection limit reached (max_connections)");
     let _ = write_response(&mut stream, &response, false, "");
     let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// One connection's request loop (thread-per-connection path): answer
-/// until the client closes, asks to close, idles past the timeout,
-/// errors, or exhausts the per-connection request budget. Bytes the
-/// client pipelined ahead of the current request stay in the carry-over
-/// buffer and feed the next iteration. `queue_wait` is how long the
-/// connection's job sat in the pool queue — the first request's `queue`
-/// stage.
-fn handle_connection(
-    stream: TcpStream,
-    catalog: &Catalog,
-    config: ServerConfig,
-    queue_wait: Duration,
-) {
-    metrics::server().connections_open.inc();
-    let _ = stream.set_read_timeout(Some(config.idle_timeout.max(Duration::from_millis(1))));
-    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-    let mut conn = ConnState::new(stream);
-    conn.pending_wait = Some(queue_wait);
-    while let Exchange::KeepAlive = serve_one(&mut conn, catalog, config, true) {}
-    close_connection(conn);
 }
 
 /// Post-request accounting: metrics, the span ring, the flight
@@ -554,7 +408,7 @@ fn handle_connection(
 /// `routed` carries the parsed request plus the router-only elapsed
 /// time for requests that made it past parsing; parse failures pass
 /// `None` and are accounted under the `other` route. The root
-/// `http.request` span spans `root_start` (queue entry or first byte)
+/// `http.request` span spans `root_start` (worker wake-up or first byte)
 /// through now — response write included — so its stage children always
 /// sum to at most its duration.
 fn finish_request(
@@ -791,7 +645,7 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Whether `buf` already holds one complete request — the reactor's
+/// Whether `buf` already holds one complete request — the worker's
 /// "serve now vs re-arm" test, mirroring [`read_request`]'s framing
 /// (leading-CRLF skip, head, `Content-Length` body) without consuming
 /// anything. Unparseable heads count as complete: serving them now

@@ -13,9 +13,10 @@
 //! * [`json`] — a hand-rolled JSON value/parser/encoder plus the API
 //!   encodings shared by the server, the CLI's `--json` mode and the
 //!   end-to-end tests;
-//! * [`http`] / [`pool`] — a minimal HTTP/1.1 front end on
-//!   `std::net::TcpListener` with a fixed-size worker pool and graceful
-//!   shutdown.
+//! * [`http`] — a minimal HTTP/1.1 front end on `std::net::TcpListener`:
+//!   a fixed number of worker threads share one epoll set of idle
+//!   connections (Linux), each serving whichever connection turns
+//!   readable, with graceful shutdown.
 //!
 //! ```no_run
 //! use std::net::TcpListener;
@@ -34,7 +35,6 @@ pub mod catalog;
 pub mod http;
 pub mod json;
 pub(crate) mod metrics;
-pub mod pool;
 pub(crate) mod reactor;
 
 pub use catalog::{
@@ -43,4 +43,3 @@ pub use catalog::{
 };
 pub use http::{respond, serve, AccessLog, Response, ServerConfig, ServerHandle};
 pub use json::{Json, JsonError};
-pub use pool::WorkerPool;

@@ -3,7 +3,8 @@
 //! The paper answers infrequent queries by finding `occ_S(P)` with the
 //! suffix tree in `O(m + occ)`; we locate the suffix-array interval with
 //! binary search in `O(m log n)` and read the occurrences off `SA[lb..rb]`
-//! (see DESIGN.md §3 for why this substitution is faithful). An
+//! (the interval holds exactly the occurrences below the suffix tree's
+//! locus for `P`, so answers are unchanged). An
 //! LCP-accelerated variant is provided for the ablation bench.
 
 use std::cmp::Ordering;

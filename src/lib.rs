@@ -42,8 +42,9 @@
 //! | [`usi_server`] | sharded multi-index catalog, batch queries, HTTP serving layer |
 //! | [`usi_repl`] | log-shipping replication: WAL shipper, followers, remote fan-out backend |
 //!
-//! See `DESIGN.md` for the paper-to-module map and `EXPERIMENTS.md` for
-//! the reproduced tables and figures.
+//! The README's "Crate map" gives the same map with paths, and its
+//! "Examples and experiments" section runs the reproduced tables and
+//! figures.
 
 pub use usi_baselines as baselines;
 pub use usi_core as core;

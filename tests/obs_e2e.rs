@@ -1,7 +1,7 @@
 //! End-to-end exercise of the observability surface: real HTTP traffic
 //! (queries, appends, an error) against a live server, then `/metrics`
 //! must expose the Prometheus series the dashboards are built on —
-//! request-latency histograms, pool queue depth, cache hit/miss
+//! request-latency histograms, busy-worker gauges, cache hit/miss
 //! counters, WAL fsync latency — and `/v1/trace` must return the
 //! recent spans as JSON.
 //!
@@ -166,9 +166,9 @@ fn metrics_and_trace_reflect_real_traffic() {
         "slow-query counter (threshold 0):\n{metrics}"
     );
 
-    // pool gauges exist (depth drains back to 0 between requests)
-    assert!(sample(&metrics, "usi_pool_queue_depth").is_some(), "pool depth:\n{metrics}");
+    // worker gauges exist (busy workers drain back to 0 between requests)
     assert!(sample(&metrics, "usi_pool_jobs_in_flight").is_some(), "pool in-flight:\n{metrics}");
+    assert!(sample(&metrics, "usi_pool_saturation_total").is_some(), "saturation:\n{metrics}");
 
     // cache counters: first batch misses, identical second batch hits
     assert!(

@@ -1,15 +1,16 @@
-//! End-to-end exercise of the epoll connection reactor's edge cases:
-//! idle connections surviving without pinning workers, peer resets,
-//! idle-timeout eviction ordering, the `max_connections` 503, shutdown
-//! promptness (eventfd wake, no throwaway connection), and a socket
-//! that turns readable mid-shutdown.
+//! End-to-end exercise of the epoll connection engine's edge cases:
+//! idle connections surviving without pinning workers, a stalled
+//! connection never holding up another one, socket-level pipelining,
+//! peer resets, idle-timeout eviction ordering, the `max_connections`
+//! 503, shutdown promptness (eventfd wake, no throwaway connection),
+//! and a socket that turns readable mid-shutdown.
 //!
-//! Everything here runs through the public `serve()` entry point with
-//! the reactor on (the Linux default), so the whole dispatch loop —
-//! epoll registration, readiness dispatch, pool hand-off, re-arm — is
-//! under test, not internals. The file is Linux-only like the reactor;
-//! on other targets `serve()` takes the thread-per-connection path and
-//! these properties (idle conns ≫ workers in particular) don't hold.
+//! Everything here runs through the public `serve()` entry point, so
+//! the whole worker loop — epoll registration, one-shot readiness,
+//! serve on the waking worker, re-arm — is under test, not internals.
+//! The file is Linux-only like the engine; on other targets each
+//! worker serves one connection at a time and these properties (idle
+//! conns ≫ workers in particular) don't hold.
 #![cfg(target_os = "linux")]
 
 use std::io::{Read, Write};
@@ -81,9 +82,9 @@ fn eventually(what: &str, deadline: Duration, probe: impl Fn() -> bool) {
 
 #[test]
 fn idle_connections_outnumber_workers() {
-    // The reactor's whole point: 64 parked keep-alive connections served
-    // from ONE worker. The threaded fallback would deadlock here (the
-    // first connection would pin the only worker forever).
+    // The engine's whole point: 64 parked keep-alive connections served
+    // from ONE worker. Thread-per-connection serving would deadlock here
+    // (the first connection would pin the only worker forever).
     let handle = start(ServerConfig::with_workers(1));
     let addr = handle.addr();
 
@@ -111,7 +112,7 @@ fn idle_connections_outnumber_workers() {
 fn peer_reset_evicts_the_parked_connection() {
     // EPOLLHUP/EPOLLERR path: a client that vanishes with response
     // bytes unread makes the kernel send RST; the parked socket's error
-    // event must dispatch and the reactor must reap the connection.
+    // event must reach a worker and the server must reap the connection.
     let handle = start(ServerConfig::with_workers(2));
     let addr = handle.addr();
 
@@ -196,7 +197,7 @@ fn over_capacity_connects_get_503_with_the_uniform_error_body() {
 #[test]
 fn shutdown_is_prompt_with_zero_connections() {
     // the eventfd wake: no live or throwaway connection is needed to
-    // interrupt the reactor's epoll_wait
+    // interrupt the workers' epoll_wait
     let handle = start(ServerConfig::with_workers(2));
     let started = Instant::now();
     handle.shutdown();
@@ -238,19 +239,73 @@ fn shutdown_is_prompt_with_parked_and_readable_connections() {
 }
 
 #[test]
-fn disabling_the_reactor_still_serves_keep_alive() {
-    // --no-reactor / non-Linux fallback: same observable behaviour for
-    // a small number of connections (each pins a worker)
-    let config = ServerConfig { reactor: false, ..ServerConfig::with_workers(4) };
-    let handle = start(config);
+fn a_stalled_connection_does_not_hold_up_another() {
+    // Two connections opened back-to-back are typically accepted by the
+    // same worker. A sends half a request head, so whichever worker
+    // takes A blocks in `read`; B must still be served by the other
+    // worker. An engine that pinned connections to the worker that
+    // accepted them would queue B behind A's stalled read.
+    let handle = start(ServerConfig::with_workers(2));
     let addr = handle.addr();
+    let mut a = TcpStream::connect(addr).unwrap();
+    let mut b = TcpStream::connect(addr).unwrap();
+    eventually("both connections accepted", Duration::from_secs(5), || {
+        handle.open_connections() == 2
+    });
 
-    let mut conns: Vec<TcpStream> = (0..3).map(|_| TcpStream::connect(addr).unwrap()).collect();
-    for conn in &mut conns {
-        assert_eq!(keep_alive_get(conn, addr, "/healthz").0, 200);
-        assert_eq!(keep_alive_get(conn, addr, "/healthz").0, 200);
-    }
-    eventually("3 open connections", Duration::from_secs(5), || handle.open_connections() == 3);
-    drop(conns);
+    a.write_all(b"GET /healthz HTTP/1.1\r\nHo").unwrap();
+    // give a worker time to pick A up; were it too short, B would just
+    // be served first and the test would pass without proving anything
+    std::thread::sleep(Duration::from_millis(100));
+    let started = Instant::now();
+    b.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+    let (status, body) = keep_alive_get(&mut b, addr, "/healthz");
+    assert_eq!(status, 200, "{body}");
+    assert!(started.elapsed() < Duration::from_secs(1), "took {:?}", started.elapsed());
+
+    // the rest of A's head arrives: A is answered too
+    a.write_all(format!("st: {addr}\r\n\r\n").as_bytes()).unwrap();
+    let (status, body) = read_framed_response(&mut a);
+    assert_eq!(status, 200, "{body}");
+    handle.shutdown();
+}
+
+#[test]
+fn pipelined_requests_in_one_write_get_responses_in_order() {
+    let handle = start(ServerConfig::with_workers(2));
+    let addr = handle.addr();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    assert_eq!(keep_alive_get(&mut stream, addr, "/healthz").0, 200);
+
+    // two requests in one segment on the kept-alive socket: a query,
+    // then a health check asking to close
+    let body = r#"{"doc":"abra","patterns":["abra"]}"#;
+    let pipelined = format!(
+        "POST /v1/query HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}\
+         GET /healthz HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(pipelined.as_bytes()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut bytes = Vec::new();
+    stream.read_to_end(&mut bytes).expect("both responses, then EOF");
+    let text = String::from_utf8(bytes).unwrap();
+
+    let (first_head, rest) = text.split_once("\r\n\r\n").expect("first response head");
+    let length: usize = first_head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .expect("Content-Length")
+        .parse()
+        .unwrap();
+    let (first_body, second) = rest.split_at(length);
+    assert!(first_head.starts_with("HTTP/1.1 200"), "{first_head}");
+    assert!(first_head.contains("Connection: keep-alive"), "{first_head}");
+    assert!(first_body.contains(r#""occurrences":4"#), "{first_body}");
+
+    let (second_head, second_body) = second.split_once("\r\n\r\n").expect("second response");
+    assert!(second_head.starts_with("HTTP/1.1 200"), "{second_head}");
+    assert!(second_head.contains("Connection: close"), "{second_head}");
+    assert!(second_body.starts_with(r#"{"status":"ok""#), "{second_body}");
     handle.shutdown();
 }
