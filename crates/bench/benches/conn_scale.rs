@@ -1,15 +1,15 @@
 //! Connection-scale benchmark: active-request latency while the idle
 //! keep-alive pool grows from 0 to ~10k connections.
 //!
-//! The reactor's contract is that parked connections are free at serve
-//! time — a request on an **active** connection must cost the same
-//! whether 0 or 10 000 idle sockets sit in the epoll set. Each tier
-//! opens N idle keep-alive connections (parked by the reactor, never
-//! written to), then measures `POST /v1/query` round-trips on a handful
-//! of active connections through the same server. A regression here
-//! means the reactor is doing per-idle-connection work on the serve
-//! path (or the pool is being starved), exactly the failure mode the
-//! pre-reactor server had.
+//! The connection engine's contract is that parked connections are
+//! free at serve time — a request on an **active** connection must
+//! cost the same whether 0 or 10 000 idle sockets sit in the epoll set.
+//! Each tier opens N idle keep-alive connections (parked in the shared
+//! epoll set, never written to), then measures `POST /v1/query` round
+//! trips on one active connection through the same server. A
+//! regression here means the engine is doing per-idle-connection work
+//! on the serve path (or idle sockets are starving the workers),
+//! exactly the failure mode the pre-reactor server had.
 //!
 //! The 10k tier adapts to the process fd budget (each idle connection
 //! costs two descriptors in-process: the client end and the server
@@ -20,12 +20,13 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 use usi_core::{UsiBuilder, UsiIndex};
 use usi_datasets::Dataset;
+use usi_server::client::read_response;
 use usi_server::{serve, Catalog, ServerConfig};
 
 /// Indexed letters: large enough that queries do real work.
@@ -86,37 +87,6 @@ fn rendered_requests(index: &UsiIndex) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// One request/response exchange on the persistent connection.
-fn round_trip(stream: &mut TcpStream, request: &[u8], scratch: &mut Vec<u8>) {
-    stream.write_all(request).unwrap();
-    scratch.clear();
-    let head_end = loop {
-        if let Some(pos) = scratch.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        let mut chunk = [0u8; 4096];
-        let got = stream.read(&mut chunk).expect("response head");
-        assert!(got > 0, "server closed the connection");
-        scratch.extend_from_slice(&chunk[..got]);
-    };
-    let head = std::str::from_utf8(&scratch[..head_end]).unwrap();
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .expect("Content-Length")
-        .trim()
-        .parse()
-        .unwrap();
-    let mut body_len = scratch.len() - head_end - 4;
-    while body_len < content_length {
-        let mut chunk = [0u8; 4096];
-        let got = stream.read(&mut chunk).expect("response body");
-        assert!(got > 0, "server closed mid-body");
-        body_len += got;
-    }
-}
-
 /// Opens `n` connections and parks them idle (never written to). The
 /// burst outruns the accept loop, so retry transient connect failures
 /// instead of failing the bench.
@@ -142,8 +112,8 @@ fn bench_conn_scale(c: &mut Criterion) {
     let requests = rendered_requests(catalog.get("bench").unwrap().index().unwrap());
 
     // long idle timeout so parked connections survive the whole run;
-    // worker pool stays at the default size — the point is that idle
-    // connections don't occupy it
+    // two workers serve every tier — the point is that idle
+    // connections don't occupy them
     let config = ServerConfig {
         idle_timeout: Duration::from_secs(600),
         max_connections: 100_000,
@@ -159,7 +129,7 @@ fn bench_conn_scale(c: &mut Criterion) {
     group.throughput(Throughput::Elements(1));
 
     let mut cursor = 0usize;
-    let mut scratch = Vec::with_capacity(8192);
+    let mut buf = Vec::with_capacity(8192);
 
     for &(tier, name) in TIERS {
         let n = tier.min(budget);
@@ -167,7 +137,7 @@ fn bench_conn_scale(c: &mut Criterion) {
             eprintln!("conn_scale: fd budget {budget} clamps the {tier}-idle tier to {n}");
         }
         let idle = open_idle_pool(addr, n);
-        // wait until the reactor has accepted (and parked) every one
+        // wait until the server has accepted (and parked) every one
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         while handle.open_connections() < n {
             assert!(
@@ -182,13 +152,14 @@ fn bench_conn_scale(c: &mut Criterion) {
         active.set_nodelay(true).unwrap();
         group.bench_function(name, |b| {
             b.iter(|| {
-                round_trip(&mut active, &requests[cursor % BODIES], &mut scratch);
+                active.write_all(&requests[cursor % BODIES]).unwrap();
+                assert_eq!(read_response(&mut active, &mut buf).unwrap().status, 200);
                 cursor += 1;
             })
         });
         drop(active);
         drop(idle);
-        // let the reactor reap the pool before the next tier doubles up
+        // let the server reap the pool before the next tier doubles up
         let deadline = std::time::Instant::now() + Duration::from_secs(30);
         while handle.open_connections() > 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(10));

@@ -17,11 +17,12 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use usi_core::{UsiBuilder, UsiIndex};
 use usi_datasets::Dataset;
+use usi_server::client::read_response;
 use usi_server::{serve, Catalog, ServerConfig};
 
 /// Indexed letters: large enough that queries do real work.
@@ -54,37 +55,6 @@ fn rendered_requests(index: &UsiIndex) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// One request/response exchange on the persistent connection.
-fn round_trip(stream: &mut TcpStream, request: &[u8], scratch: &mut Vec<u8>) {
-    stream.write_all(request).unwrap();
-    scratch.clear();
-    let head_end = loop {
-        if let Some(pos) = scratch.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        let mut chunk = [0u8; 4096];
-        let got = stream.read(&mut chunk).expect("response head");
-        assert!(got > 0, "server closed the connection");
-        scratch.extend_from_slice(&chunk[..got]);
-    };
-    let head = std::str::from_utf8(&scratch[..head_end]).unwrap();
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .expect("Content-Length")
-        .trim()
-        .parse()
-        .unwrap();
-    let mut body_len = scratch.len() - head_end - 4;
-    while body_len < content_length {
-        let mut chunk = [0u8; 4096];
-        let got = stream.read(&mut chunk).expect("response body");
-        assert!(got > 0, "server closed mid-body");
-        body_len += got;
-    }
-}
-
 fn bench_metrics_overhead(c: &mut Criterion) {
     let catalog = Arc::new(Catalog::new(2));
     catalog.insert("bench", built_index());
@@ -99,21 +69,23 @@ fn bench_metrics_overhead(c: &mut Criterion) {
     group.throughput(Throughput::Elements(1));
 
     let mut cursor = 0usize;
-    let mut scratch = Vec::with_capacity(8192);
+    let mut buf = Vec::with_capacity(8192);
 
     let mut stream = TcpStream::connect(addr).unwrap();
     stream.set_nodelay(true).unwrap();
     usi_obs::set_enabled(false);
     group.bench_function("request_telemetry_off", |b| {
         b.iter(|| {
-            round_trip(&mut stream, &requests[cursor % BODIES], &mut scratch);
+            stream.write_all(&requests[cursor % BODIES]).unwrap();
+            assert_eq!(read_response(&mut stream, &mut buf).unwrap().status, 200);
             cursor += 1;
         })
     });
     usi_obs::set_enabled(true);
     group.bench_function("request_telemetry_on", |b| {
         b.iter(|| {
-            round_trip(&mut stream, &requests[cursor % BODIES], &mut scratch);
+            stream.write_all(&requests[cursor % BODIES]).unwrap();
+            assert_eq!(read_response(&mut stream, &mut buf).unwrap().status, 200);
             cursor += 1;
         })
     });
@@ -128,7 +100,8 @@ fn bench_metrics_overhead(c: &mut Criterion) {
     // visible in the nightly report, not to fail it.
     group.bench_function("request_flight_off", |b| {
         b.iter(|| {
-            round_trip(&mut stream, &requests[cursor % BODIES], &mut scratch);
+            stream.write_all(&requests[cursor % BODIES]).unwrap();
+            assert_eq!(read_response(&mut stream, &mut buf).unwrap().status, 200);
             cursor += 1;
         })
     });
@@ -139,7 +112,8 @@ fn bench_metrics_overhead(c: &mut Criterion) {
     flight_stream.set_nodelay(true).unwrap();
     group.bench_function("request_flight_on", |b| {
         b.iter(|| {
-            round_trip(&mut flight_stream, &requests[cursor % BODIES], &mut scratch);
+            flight_stream.write_all(&requests[cursor % BODIES]).unwrap();
+            assert_eq!(read_response(&mut flight_stream, &mut buf).unwrap().status, 200);
             cursor += 1;
         })
     });

@@ -24,7 +24,6 @@
 use crate::metrics;
 use crate::proto::{self, AckStatus, Frame};
 use std::io::{self, BufReader, BufWriter};
-use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -359,7 +358,7 @@ fn follow_tcp(doc: &FollowerDoc, addr: &str, stop: &AtomicBool, config: Follower
 /// One connection lifetime: handshake at the applied offset, then apply
 /// frames until error or stop.
 fn stream_once(doc: &FollowerDoc, addr: &str, stop: &AtomicBool) -> io::Result<()> {
-    let conn = connect(addr, Duration::from_secs(5))?;
+    let conn = usi_server::client::connect(addr, Duration::from_secs(5))?;
     conn.set_read_timeout(Some(Duration::from_secs(10)))?;
     conn.set_write_timeout(Some(Duration::from_secs(10)))?;
     let mut reader = BufReader::new(conn.try_clone()?);
@@ -397,19 +396,6 @@ fn stream_once(doc: &FollowerDoc, addr: &str, stop: &AtomicBool) -> io::Result<(
         }
     }
     Ok(())
-}
-
-/// `TcpStream::connect` with a timeout across every resolved address.
-fn connect(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
-    use std::net::ToSocketAddrs;
-    let mut last = io::Error::other(format!("no addresses resolved for {addr:?}"));
-    for resolved in addr.to_socket_addrs()? {
-        match TcpStream::connect_timeout(&resolved, timeout) {
-            Ok(conn) => return Ok(conn),
-            Err(e) => last = e,
-        }
-    }
-    Err(last)
 }
 
 /// The air-gapped fallback: polls `<dir>/<doc>.usil` and applies the

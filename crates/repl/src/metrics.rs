@@ -1,6 +1,7 @@
 //! Replication telemetry, pre-registered once (the same handle-caching
 //! pattern as `usi_server::metrics`): per-doc staleness gauges the CI
-//! smoke polls to zero, plus shipping counters for capacity planning.
+//! smoke polls to zero, shipping counters for capacity planning, and
+//! the remote fan-out backend's failure counters.
 
 use std::sync::OnceLock;
 use usi_obs::{Counter, Gauge, GaugeVec};
@@ -25,6 +26,12 @@ pub(crate) struct ReplMetrics {
     pub reconnects_total: std::sync::Arc<Counter>,
     /// Follower connections currently streaming (primary side).
     pub followers: std::sync::Arc<Gauge>,
+    /// Remote-shard requests re-sent on a fresh connection after a
+    /// kept-alive one went stale (front end side).
+    pub remote_retries_total: std::sync::Arc<Counter>,
+    /// Remote-shard query batches answered empty because the shard
+    /// failed (front end side).
+    pub remote_failures_total: std::sync::Arc<Counter>,
 }
 
 impl ReplMetrics {
@@ -60,6 +67,14 @@ impl ReplMetrics {
             ),
             followers: registry
                 .gauge("usi_repl_followers", "Follower connections currently streaming"),
+            remote_retries_total: registry.counter(
+                "usi_remote_retries_total",
+                "Remote-shard requests retried on a fresh connection after a stale one",
+            ),
+            remote_failures_total: registry.counter(
+                "usi_remote_failures_total",
+                "Remote-shard query batches answered empty because the shard failed",
+            ),
         }
     }
 }

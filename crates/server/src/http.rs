@@ -54,8 +54,9 @@ use std::time::{Duration, Instant};
 use usi_ingest::IngestError;
 use usi_obs::{FlightRecord, Span, SpanGuard, TraceId};
 
-/// Longest accepted request head (request line + headers).
-const MAX_HEAD: usize = 16 * 1024;
+/// Longest accepted request head (request line + headers); the client
+/// holds response heads to the same bound.
+pub(crate) const MAX_HEAD: usize = 16 * 1024;
 /// Longest accepted request body.
 const MAX_BODY: usize = 4 * 1024 * 1024;
 /// Most patterns per `POST /v1/query` request.
@@ -522,7 +523,7 @@ impl From<io::Error> for HttpError {
 
 /// Whether a `Connection` header value contains `token` (the value is
 /// a comma-separated token list, compared case-insensitively).
-fn connection_has_token(value: Option<&str>, token: &str) -> bool {
+pub(crate) fn connection_has_token(value: Option<&str>, token: &str) -> bool {
     value.is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case(token)))
 }
 
@@ -641,7 +642,7 @@ fn read_request<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> Result<Request, HttpEr
     Ok(Request { method, path, query, body, close })
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
+pub(crate) fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
@@ -1198,6 +1199,7 @@ fn serialized(build: impl FnOnce() -> Response) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{read_response, Client};
     use usi_core::UsiBuilder;
     use usi_strings::WeightedString;
 
@@ -1656,59 +1658,18 @@ mod tests {
         let handle = serve(Arc::clone(&catalog), listener, ServerConfig::with_workers(2)).unwrap();
         let addr = handle.addr();
 
-        let fetch = |request: String| -> String {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream.write_all(request.as_bytes()).unwrap();
-            let mut response = String::new();
-            stream.read_to_string(&mut response).unwrap();
-            response
-        };
+        let mut client = Client::new(addr, Duration::from_secs(5));
+        let reply = client.get("/healthz").unwrap();
+        assert_eq!(reply.status, 200);
+        assert!(reply.body.starts_with(r#"{"status":"ok","docs":1"#), "{}", reply.body);
 
-        let response =
-            fetch(format!("GET /healthz HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"));
-        assert!(response.starts_with("HTTP/1.1 200"));
-        assert!(response.contains(r#"{"status":"ok","docs":1"#), "{response}");
-
-        let body = r#"{"doc":"abra","patterns":["abra"]}"#;
-        let response = fetch(format!(
-            "POST /v1/query HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ));
-        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
-        assert!(response.contains(r#""occurrences":4"#), "{response}");
+        let reply = client.post("/v1/query", r#"{"doc":"abra","patterns":["abra"]}"#).unwrap();
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        assert!(reply.body.contains(r#""occurrences":4"#), "{}", reply.body);
 
         handle.shutdown();
         // the port is released: a fresh bind to the same address works
         assert!(TcpListener::bind(addr).is_ok());
-    }
-
-    /// Reads exactly one `Content-Length`-framed response off `stream`,
-    /// returning `(head, body)` — the keep-alive framing a persistent
-    /// client must use instead of read-to-EOF.
-    fn read_one_response(stream: &mut TcpStream) -> (String, String) {
-        let mut bytes = Vec::new();
-        let head_end = loop {
-            if let Some(pos) = bytes.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos;
-            }
-            let mut chunk = [0u8; 512];
-            let got = stream.read(&mut chunk).expect("response head");
-            assert!(got > 0, "server closed mid-head: {:?}", String::from_utf8_lossy(&bytes));
-            bytes.extend_from_slice(&chunk[..got]);
-        };
-        let head = String::from_utf8(bytes[..head_end].to_vec()).unwrap();
-        let content_length: usize = head
-            .lines()
-            .find_map(|l| l.strip_prefix("Content-Length: "))
-            .expect("Content-Length header")
-            .trim()
-            .parse()
-            .unwrap();
-        let mut body = bytes[head_end + 4..].to_vec();
-        let already = body.len();
-        body.resize(content_length, 0);
-        stream.read_exact(&mut body[already..]).expect("response body");
-        (head, String::from_utf8(body).unwrap())
     }
 
     #[test]
@@ -1719,14 +1680,15 @@ mod tests {
         let addr = handle.addr();
 
         let mut stream = TcpStream::connect(addr).unwrap();
+        let mut buf = Vec::new();
         for round in 0..3 {
             stream
                 .write_all(format!("GET /healthz HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes())
                 .unwrap();
-            let (head, body) = read_one_response(&mut stream);
-            assert!(head.starts_with("HTTP/1.1 200"), "round {round}: {head}");
-            assert!(head.contains("Connection: keep-alive"), "round {round}: {head}");
-            assert!(body.starts_with(r#"{"status":"ok","docs":1"#), "round {round}: {body}");
+            let reply = read_response(&mut stream, &mut buf).unwrap();
+            assert_eq!(reply.status, 200, "round {round}: {}", reply.head);
+            assert_eq!(reply.header("Connection"), Some("keep-alive"), "round {round}");
+            assert!(reply.body.starts_with(r#"{"status":"ok","docs":1"#), "round {round}");
         }
         // asking to close gets a close header and a closed socket
         stream
@@ -1735,8 +1697,8 @@ mod tests {
                     .as_bytes(),
             )
             .unwrap();
-        let (head, _) = read_one_response(&mut stream);
-        assert!(head.contains("Connection: close"), "{head}");
+        let reply = read_response(&mut stream, &mut buf).unwrap();
+        assert_eq!(reply.header("Connection"), Some("close"), "{}", reply.head);
         let mut rest = Vec::new();
         stream.read_to_end(&mut rest).unwrap();
         assert!(rest.is_empty(), "bytes after the final response");
@@ -1752,13 +1714,14 @@ mod tests {
         let addr = handle.addr();
 
         let mut stream = TcpStream::connect(addr).unwrap();
+        let mut buf = Vec::new();
         let request = format!("GET /healthz HTTP/1.1\r\nHost: {addr}\r\n\r\n");
         stream.write_all(request.as_bytes()).unwrap();
-        let (head, _) = read_one_response(&mut stream);
-        assert!(head.contains("Connection: keep-alive"), "{head}");
+        let reply = read_response(&mut stream, &mut buf).unwrap();
+        assert_eq!(reply.header("Connection"), Some("keep-alive"), "{}", reply.head);
         stream.write_all(request.as_bytes()).unwrap();
-        let (head, _) = read_one_response(&mut stream);
-        assert!(head.contains("Connection: close"), "budget exhausted: {head}");
+        let reply = read_response(&mut stream, &mut buf).unwrap();
+        assert_eq!(reply.header("Connection"), Some("close"), "budget exhausted: {}", reply.head);
         let mut rest = Vec::new();
         stream.read_to_end(&mut rest).unwrap();
         assert!(rest.is_empty());

@@ -2,7 +2,8 @@
 //! [`UsiIndex`](usi_core::UsiIndex)es behind one long-running process.
 //!
 //! The crate is dependency-free (std only, like the rest of the
-//! workspace) and splits into three layers:
+//! workspace) and splits into three layers, plus the client that
+//! speaks to them:
 //!
 //! * [`catalog`] — a sharded multi-index registry ([`Catalog`]): loads
 //!   `.usix` files or in-process builds, hosts live ingest-enabled
@@ -16,7 +17,10 @@
 //! * [`http`] — a minimal HTTP/1.1 front end on `std::net::TcpListener`:
 //!   a fixed number of worker threads share one epoll set of idle
 //!   connections (Linux), each serving whichever connection turns
-//!   readable, with graceful shutdown.
+//!   readable, with graceful shutdown;
+//! * [`client`] — the one HTTP/1.1 client for that API (keep-alive,
+//!   per-request deadlines, one stale-socket retry, bounded response
+//!   framing), used by the remote fan-out backend, tests and benches.
 //!
 //! ```no_run
 //! use std::net::TcpListener;
@@ -32,6 +36,7 @@
 //! ```
 
 pub mod catalog;
+pub mod client;
 pub mod http;
 pub mod json;
 pub(crate) mod metrics;

@@ -4,11 +4,12 @@
 //! replay that must answer exactly like a from-scratch build over the
 //! concatenated weighted string.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::Arc;
+use std::time::Duration;
 use usi::ingest::{replay_file, IngestConfig, IngestPipeline};
 use usi::prelude::*;
+use usi::server::client::Client;
 use usi::server::json::Json;
 use usi::server::serve;
 
@@ -37,27 +38,6 @@ fn build_base(seed: u64, n: usize) -> (UsiIndex, Vec<u8>, Vec<f64>) {
         .deterministic(seed)
         .build(WeightedString::new(text.clone(), weights.clone()).unwrap());
     (index, text, weights)
-}
-
-/// One blocking HTTP exchange; returns (status, body).
-fn exchange(addr: SocketAddr, request: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to test server");
-    stream.write_all(request.as_bytes()).unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").expect("complete response");
-    let status: u16 = head.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status code");
-    (status, body.to_string())
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    exchange(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    )
 }
 
 #[test]
@@ -140,23 +120,23 @@ fn http_appends_survive_a_server_kill() {
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let handle = serve(Arc::clone(&catalog), listener, ServerConfig::with_workers(2)).unwrap();
-    let addr = handle.addr();
+    let mut client = Client::new(handle.addr(), Duration::from_secs(10));
 
     // appends through the HTTP API, some with explicit dyadic weights
-    let (status, body) = post(addr, "/v1/docs/live/append", r#"{"text":"abcabcab","weight":0.5}"#);
-    assert_eq!(status, 200, "{body}");
-    let (status, body) =
-        post(addr, "/v1/docs/live/append", r#"{"text":"cab","weights":[0.25,1.75,1.0]}"#);
-    assert_eq!(status, 200, "{body}");
-    let parsed = Json::parse(&body).unwrap();
+    let reply = client.post("/v1/docs/live/append", r#"{"text":"abcabcab","weight":0.5}"#).unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let reply =
+        client.post("/v1/docs/live/append", r#"{"text":"cab","weights":[0.25,1.75,1.0]}"#).unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let parsed = Json::parse(&reply.body).unwrap();
     assert_eq!(parsed.get("n").and_then(Json::as_f64), Some(120.0 + 11.0));
 
     // the served answer equals the in-process one
-    let (status, body) = post(addr, "/v1/query", r#"{"doc":"live","patterns":["abc","cab"]}"#);
-    assert_eq!(status, 200);
+    let reply = client.post("/v1/query", r#"{"doc":"live","patterns":["abc","cab"]}"#).unwrap();
+    assert_eq!(reply.status, 200);
     let doc = catalog.get("live").unwrap();
     let direct = doc.query(b"abc");
-    let parsed = Json::parse(&body).unwrap();
+    let parsed = Json::parse(&reply.body).unwrap();
     let results = parsed.get("results").and_then(Json::as_array).unwrap();
     assert_eq!(
         results[0].get("occurrences").and_then(Json::as_f64),

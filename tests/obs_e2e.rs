@@ -8,11 +8,13 @@
 //! Metrics are process-global, so every assertion is a `>=` on the
 //! scraped value, never an exact count.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
+use std::time::Duration;
 use usi::ingest::{IngestConfig, IngestPipeline};
 use usi::prelude::*;
+use usi::server::client::{Client, Reply};
 use usi::server::json::Json;
 use usi::server::{serve, AccessLog};
 
@@ -24,45 +26,6 @@ fn sample_index(seed: u64, n: usize) -> UsiIndex {
     let text: Vec<u8> = (0..n).map(|_| b'a' + rng.gen_range(0..3u8)).collect();
     let ws = WeightedString::new(text, vec![1.0; n]).unwrap();
     UsiBuilder::new().with_k(25).deterministic(seed).build(ws)
-}
-
-/// One blocking HTTP exchange; returns (status, head, body).
-fn exchange_full(addr: SocketAddr, request: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to test server");
-    stream.write_all(request.as_bytes()).unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").expect("complete response");
-    let status: u16 = head.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status code");
-    (status, head.to_string(), body.to_string())
-}
-
-/// One blocking HTTP exchange; returns (status, body).
-fn exchange(addr: SocketAddr, request: &str) -> (u16, String) {
-    let (status, _, body) = exchange_full(addr, request);
-    (status, body)
-}
-
-/// The value of a response header (case-insensitive name).
-fn header(head: &str, name: &str) -> Option<String> {
-    head.lines().find_map(|line| {
-        let (k, v) = line.split_once(':')?;
-        k.eq_ignore_ascii_case(name).then(|| v.trim().to_string())
-    })
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-    exchange(addr, &format!("GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"))
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    exchange(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    )
 }
 
 /// The value of the first sample whose line starts with `series`
@@ -101,10 +64,10 @@ fn metrics_and_trace_reflect_real_traffic() {
         ..ServerConfig::with_workers(2)
     };
     let handle = serve(Arc::clone(&catalog), listener, config).unwrap();
-    let addr = handle.addr();
+    let mut client = Client::new(handle.addr(), Duration::from_secs(10));
 
     // ---- healthz keeps its contract and gains version + uptime ---------
-    let (status, body) = get(addr, "/healthz");
+    let Reply { status, body, .. } = client.get("/healthz").unwrap();
     assert_eq!(status, 200);
     assert!(body.starts_with(r#"{"status":"ok","docs":2"#), "healthz: {body}");
     let parsed = Json::parse(&body).unwrap();
@@ -115,20 +78,21 @@ fn metrics_and_trace_reflect_real_traffic() {
     // ---- and a 404 -----------------------------------------------------
     let query = r#"{"doc":"alpha","patterns":["ab","ba","aab"]}"#;
     for _ in 0..2 {
-        let (status, body) = post(addr, "/v1/query", query);
+        let Reply { status, body, .. } = client.post("/v1/query", query).unwrap();
         assert_eq!(status, 200, "{body}");
     }
-    let (status, body) = post(addr, "/v1/docs/live/append", r#"{"text":"abcabc","weight":1.0}"#);
+    let append = r#"{"text":"abcabc","weight":1.0}"#;
+    let Reply { status, body, .. } = client.post("/v1/docs/live/append", append).unwrap();
     assert_eq!(status, 200, "{body}");
-    let (status, body) = get(addr, "/v1/definitely-not-a-route");
+    let Reply { status, body, .. } = client.get("/v1/definitely-not-a-route").unwrap();
     assert_eq!(status, 404);
-    // satellite: every HTTP error shares one JSON body shape
+    // every HTTP error shares one JSON body shape
     let parsed = Json::parse(&body).expect("error bodies are JSON");
     assert!(parsed.get("error").and_then(Json::as_str).is_some(), "error body: {body}");
     assert_eq!(parsed.get("status").and_then(Json::as_f64), Some(404.0), "error body: {body}");
 
     // ---- /metrics: Prometheus text with the advertised series ----------
-    let (status, metrics) = get(addr, "/metrics");
+    let Reply { status, body: metrics, .. } = client.get("/metrics").unwrap();
     assert_eq!(status, 200);
 
     // request-latency histogram, labelled by route
@@ -209,7 +173,7 @@ fn metrics_and_trace_reflect_real_traffic() {
     );
 
     // ---- /v1/trace: recent spans as JSON -------------------------------
-    let (status, body) = get(addr, "/v1/trace");
+    let Reply { status, body, .. } = client.get("/v1/trace").unwrap();
     assert_eq!(status, 200);
     let parsed = Json::parse(&body).unwrap();
     let spans = parsed.get("spans").and_then(Json::as_array).expect("spans array");
@@ -237,28 +201,21 @@ fn request_ids_correlate_trace_flight_and_headers() {
     // every request is captured by the flight recorder
     let config = ServerConfig { slow_query_ms: Some(0), ..ServerConfig::with_workers(2) };
     let handle = serve(Arc::clone(&catalog), listener, config).unwrap();
-    let addr = handle.addr();
+    let mut client = Client::new(handle.addr(), Duration::from_secs(10));
 
-    let body = r#"{"doc":"tracy","patterns":["ab","ba"]}"#;
-    let (status, head, _) = exchange_full(
-        addr,
-        &format!(
-            "POST /v1/query HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    );
-    assert_eq!(status, 200);
-    let id = header(&head, "X-Request-Id").expect("every response carries X-Request-Id");
+    let reply = client.post("/v1/query", r#"{"doc":"tracy","patterns":["ab","ba"]}"#).unwrap();
+    assert_eq!(reply.status, 200);
+    let id = reply.header("X-Request-Id").expect("every response carries X-Request-Id");
     assert_eq!(id.len(), 16, "ids are 16 hex digits: {id}");
     assert!(id.bytes().all(|b| b.is_ascii_hexdigit()), "hex id: {id}");
-    let timing = header(&head, "Server-Timing").expect("routed responses carry Server-Timing");
+    let timing = reply.header("Server-Timing").expect("routed responses carry Server-Timing");
     assert!(timing.contains("engine;dur="), "Server-Timing lists stages: {timing}");
 
     // ---- /v1/trace/{id}: the request's full stage tree -----------------
-    let (status, body) = get(addr, &format!("/v1/trace/{id}"));
+    let Reply { status, body, .. } = client.get(&format!("/v1/trace/{id}")).unwrap();
     assert_eq!(status, 200, "{body}");
     let parsed = Json::parse(&body).unwrap();
-    assert_eq!(parsed.get("trace_id").and_then(Json::as_str), Some(&*id));
+    assert_eq!(parsed.get("trace_id").and_then(Json::as_str), Some(id));
     let root = parsed.get("root").expect("tree has a root span");
     assert_eq!(root.get("name").and_then(Json::as_str), Some("http.request"));
     let root_us = root.get("duration_us").and_then(Json::as_f64).expect("root duration");
@@ -279,28 +236,25 @@ fn request_ids_correlate_trace_flight_and_headers() {
     }
 
     // ---- /debug/requests: the flight recorder holds the same id --------
-    let (status, body) = get(addr, "/debug/requests");
+    let Reply { status, body, .. } = client.get("/debug/requests").unwrap();
     assert_eq!(status, 200);
     let parsed = Json::parse(&body).unwrap();
     let requests = parsed.get("requests").and_then(Json::as_array).expect("requests array");
     assert!(
-        requests.iter().any(|r| r.get("trace_id").and_then(Json::as_str) == Some(&*id)),
+        requests.iter().any(|r| r.get("trace_id").and_then(Json::as_str) == Some(id)),
         "flight recorder must hold {id}: {body}"
     );
 
     // an induced 404 is always captured (status >= 400), filterable by id
-    let (status, head, _) = exchange_full(
-        addr,
-        "GET /v1/definitely-not-a-route HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n",
-    );
-    assert_eq!(status, 404);
-    let err_id = header(&head, "X-Request-Id").expect("errors carry ids too");
+    let reply = client.get("/v1/definitely-not-a-route").unwrap();
+    assert_eq!(reply.status, 404);
+    let err_id = reply.header("X-Request-Id").expect("errors carry ids too").to_string();
     assert_ne!(err_id, id, "ids are unique per request");
-    let (_, body) = get(addr, "/debug/requests");
+    let body = client.get("/debug/requests").unwrap().body;
     assert!(body.contains(&err_id), "404 {err_id} must reach the flight recorder: {body}");
 
     // ---- /metrics: queue-wait histogram and both drop counters ---------
-    let (status, metrics) = get(addr, "/metrics");
+    let Reply { status, body: metrics, .. } = client.get("/metrics").unwrap();
     assert_eq!(status, 200);
     assert!(
         sample(&metrics, "usi_pool_queue_wait_seconds_count").is_some_and(|v| v >= 1.0),
@@ -378,10 +332,9 @@ fn access_log_lines_carry_the_request_id() {
         }
     };
 
-    let (status, head, _) =
-        exchange_full(addr, "GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n");
-    assert_eq!(status, 200);
-    let id = header(&head, "X-Request-Id").expect("X-Request-Id over the wire");
+    let reply = Client::new(addr, Duration::from_secs(10)).get("/healthz").unwrap();
+    assert_eq!(reply.status, 200);
+    let id = reply.header("X-Request-Id").expect("X-Request-Id over the wire");
 
     drop(stdin); // EOF → graceful shutdown flushes the logs
     let mut rest = String::new();

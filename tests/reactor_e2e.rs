@@ -18,6 +18,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use usi::prelude::*;
+use usi::server::client::{read_response, Reply};
 use usi::server::json::Json;
 use usi::server::{serve, Catalog, ServerConfig, ServerHandle};
 
@@ -34,38 +35,11 @@ fn start(config: ServerConfig) -> ServerHandle {
     serve(catalog(), listener, config).unwrap()
 }
 
-/// Writes one keep-alive GET and reads its `Content-Length`-framed
-/// response, leaving the connection open; returns (status, body).
-fn keep_alive_get(stream: &mut TcpStream, addr: SocketAddr, path: &str) -> (u16, String) {
+/// Writes one keep-alive GET and reads its response, leaving the
+/// connection open.
+fn keep_alive_get(stream: &mut TcpStream, addr: SocketAddr, path: &str) -> Reply {
     stream.write_all(format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes()).unwrap();
-    read_framed_response(stream)
-}
-
-fn read_framed_response(stream: &mut TcpStream) -> (u16, String) {
-    let mut bytes = Vec::new();
-    let head_end = loop {
-        if let Some(pos) = bytes.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        let mut chunk = [0u8; 512];
-        let got = stream.read(&mut chunk).expect("response head");
-        assert!(got > 0, "server closed mid-head: {:?}", String::from_utf8_lossy(&bytes));
-        bytes.extend_from_slice(&chunk[..got]);
-    };
-    let head = String::from_utf8(bytes[..head_end].to_vec()).unwrap();
-    let status: u16 = head.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status code");
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .expect("Content-Length")
-        .trim()
-        .parse()
-        .unwrap();
-    let mut body = bytes[head_end + 4..].to_vec();
-    let already = body.len();
-    body.resize(content_length, 0);
-    stream.read_exact(&mut body[already..]).expect("response body");
-    (status, String::from_utf8(body).unwrap())
+    read_response(stream, &mut Vec::new()).expect("response")
 }
 
 /// Polls `probe` until it returns true or the deadline passes.
@@ -90,17 +64,16 @@ fn idle_connections_outnumber_workers() {
 
     let mut conns: Vec<TcpStream> = (0..64).map(|_| TcpStream::connect(addr).unwrap()).collect();
     for conn in &mut conns {
-        let (status, body) = keep_alive_get(conn, addr, "/healthz");
-        assert_eq!(status, 200);
-        assert!(body.contains(r#""status":"ok""#), "{body}");
+        let reply = keep_alive_get(conn, addr, "/healthz");
+        assert_eq!(reply.status, 200);
+        assert!(reply.body.contains(r#""status":"ok""#), "{}", reply.body);
     }
     eventually("64 open connections", Duration::from_secs(5), || handle.open_connections() == 64);
 
     // every connection still answers a second round while the other 63
     // sit parked in the epoll set
     for conn in &mut conns {
-        let (status, _) = keep_alive_get(conn, addr, "/healthz");
-        assert_eq!(status, 200);
+        assert_eq!(keep_alive_get(conn, addr, "/healthz").status, 200);
     }
     assert_eq!(handle.open_connections(), 64);
     drop(conns);
@@ -118,8 +91,7 @@ fn peer_reset_evicts_the_parked_connection() {
 
     for _ in 0..8 {
         let mut stream = TcpStream::connect(addr).unwrap();
-        let (status, _) = keep_alive_get(&mut stream, addr, "/healthz");
-        assert_eq!(status, 200);
+        assert_eq!(keep_alive_get(&mut stream, addr, "/healthz").status, 200);
         // second response is written by the server but never read here:
         // closing with unread receive-buffer data turns FIN into RST
         stream
@@ -144,18 +116,17 @@ fn idle_timeout_evicts_older_connections_first() {
     // (300ms/16 clamped to 20ms), so A's deadline tick strictly
     // precedes B's.
     let mut a = TcpStream::connect(addr).unwrap();
-    assert_eq!(keep_alive_get(&mut a, addr, "/healthz").0, 200);
+    assert_eq!(keep_alive_get(&mut a, addr, "/healthz").status, 200);
     std::thread::sleep(Duration::from_millis(200));
     let mut b = TcpStream::connect(addr).unwrap();
-    assert_eq!(keep_alive_get(&mut b, addr, "/healthz").0, 200);
+    assert_eq!(keep_alive_get(&mut b, addr, "/healthz").status, 200);
 
     // blocking read on A returns 0 when the server evicts it
     let mut sink = [0u8; 64];
     a.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     assert_eq!(a.read(&mut sink).expect("EOF, not an error"), 0, "A evicted by idle timeout");
     // …at which point B (deadline ~200ms later) must still be live
-    let (status, _) = keep_alive_get(&mut b, addr, "/healthz");
-    assert_eq!(status, 200, "B outlives A's eviction");
+    assert_eq!(keep_alive_get(&mut b, addr, "/healthz").status, 200, "B outlives A's eviction");
     handle.shutdown();
 }
 
@@ -167,21 +138,23 @@ fn over_capacity_connects_get_503_with_the_uniform_error_body() {
 
     let mut first = TcpStream::connect(addr).unwrap();
     let mut second = TcpStream::connect(addr).unwrap();
-    assert_eq!(keep_alive_get(&mut first, addr, "/healthz").0, 200);
-    assert_eq!(keep_alive_get(&mut second, addr, "/healthz").0, 200);
+    assert_eq!(keep_alive_get(&mut first, addr, "/healthz").status, 200);
+    assert_eq!(keep_alive_get(&mut second, addr, "/healthz").status, 200);
     eventually("both connections counted", Duration::from_secs(5), || {
         handle.open_connections() == 2
     });
 
     // third connect: answered 503 and closed without entering the set
     let mut third = TcpStream::connect(addr).unwrap();
-    let mut response = String::new();
     third.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    third.read_to_string(&mut response).expect("503 then EOF");
-    let (head, body) = response.split_once("\r\n\r\n").expect("complete response");
-    assert!(head.starts_with("HTTP/1.1 503"), "{head}");
-    assert!(head.contains("Connection: close"), "{head}");
-    let parsed = Json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    let mut buf = Vec::new();
+    let reply = read_response(&mut third, &mut buf).expect("503");
+    assert_eq!(reply.status, 503, "{}", reply.head);
+    assert!(!reply.keep_alive, "{}", reply.head);
+    third.read_to_end(&mut buf).expect("EOF after the 503");
+    assert!(buf.is_empty(), "bytes after the 503");
+    let body = reply.body;
+    let parsed = Json::parse(&body).unwrap_or_else(|e| panic!("{e}: {body}"));
     assert!(parsed.get("error").and_then(Json::as_str).is_some(), "{body}");
     assert_eq!(parsed.get("status").and_then(Json::as_f64), Some(503.0), "{body}");
     assert_eq!(handle.open_connections(), 2, "rejected connect never counted");
@@ -190,7 +163,7 @@ fn over_capacity_connects_get_503_with_the_uniform_error_body() {
     drop(first);
     eventually("slot freed", Duration::from_secs(5), || handle.open_connections() == 1);
     let mut replacement = TcpStream::connect(addr).unwrap();
-    assert_eq!(keep_alive_get(&mut replacement, addr, "/healthz").0, 200);
+    assert_eq!(keep_alive_get(&mut replacement, addr, "/healthz").status, 200);
     handle.shutdown();
 }
 
@@ -211,10 +184,10 @@ fn shutdown_is_prompt_with_parked_and_readable_connections() {
 
     // one connection parked idle…
     let mut parked = TcpStream::connect(addr).unwrap();
-    assert_eq!(keep_alive_get(&mut parked, addr, "/healthz").0, 200);
+    assert_eq!(keep_alive_get(&mut parked, addr, "/healthz").status, 200);
     // …and one that turns readable right as shutdown begins
     let mut readable = TcpStream::connect(addr).unwrap();
-    assert_eq!(keep_alive_get(&mut readable, addr, "/healthz").0, 200);
+    assert_eq!(keep_alive_get(&mut readable, addr, "/healthz").status, 200);
     readable
         .write_all(format!("GET /healthz HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes())
         .unwrap();
@@ -259,14 +232,14 @@ fn a_stalled_connection_does_not_hold_up_another() {
     std::thread::sleep(Duration::from_millis(100));
     let started = Instant::now();
     b.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
-    let (status, body) = keep_alive_get(&mut b, addr, "/healthz");
-    assert_eq!(status, 200, "{body}");
+    let reply = keep_alive_get(&mut b, addr, "/healthz");
+    assert_eq!(reply.status, 200, "{}", reply.body);
     assert!(started.elapsed() < Duration::from_secs(1), "took {:?}", started.elapsed());
 
     // the rest of A's head arrives: A is answered too
     a.write_all(format!("st: {addr}\r\n\r\n").as_bytes()).unwrap();
-    let (status, body) = read_framed_response(&mut a);
-    assert_eq!(status, 200, "{body}");
+    let reply = read_response(&mut a, &mut Vec::new()).unwrap();
+    assert_eq!(reply.status, 200, "{}", reply.body);
     handle.shutdown();
 }
 
@@ -275,7 +248,7 @@ fn pipelined_requests_in_one_write_get_responses_in_order() {
     let handle = start(ServerConfig::with_workers(2));
     let addr = handle.addr();
     let mut stream = TcpStream::connect(addr).unwrap();
-    assert_eq!(keep_alive_get(&mut stream, addr, "/healthz").0, 200);
+    assert_eq!(keep_alive_get(&mut stream, addr, "/healthz").status, 200);
 
     // two requests in one segment on the kept-alive socket: a query,
     // then a health check asking to close
@@ -287,25 +260,17 @@ fn pipelined_requests_in_one_write_get_responses_in_order() {
     );
     stream.write_all(pipelined.as_bytes()).unwrap();
     stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let mut bytes = Vec::new();
-    stream.read_to_end(&mut bytes).expect("both responses, then EOF");
-    let text = String::from_utf8(bytes).unwrap();
+    let mut buf = Vec::new();
+    let first = read_response(&mut stream, &mut buf).expect("first response");
+    assert_eq!(first.status, 200, "{}", first.head);
+    assert!(first.keep_alive, "{}", first.head);
+    assert!(first.body.contains(r#""occurrences":4"#), "{}", first.body);
 
-    let (first_head, rest) = text.split_once("\r\n\r\n").expect("first response head");
-    let length: usize = first_head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .expect("Content-Length")
-        .parse()
-        .unwrap();
-    let (first_body, second) = rest.split_at(length);
-    assert!(first_head.starts_with("HTTP/1.1 200"), "{first_head}");
-    assert!(first_head.contains("Connection: keep-alive"), "{first_head}");
-    assert!(first_body.contains(r#""occurrences":4"#), "{first_body}");
-
-    let (second_head, second_body) = second.split_once("\r\n\r\n").expect("second response");
-    assert!(second_head.starts_with("HTTP/1.1 200"), "{second_head}");
-    assert!(second_head.contains("Connection: close"), "{second_head}");
-    assert!(second_body.starts_with(r#"{"status":"ok""#), "{second_body}");
+    let second = read_response(&mut stream, &mut buf).expect("second response");
+    assert_eq!(second.status, 200, "{}", second.head);
+    assert!(!second.keep_alive, "{}", second.head);
+    assert!(second.body.starts_with(r#"{"status":"ok""#), "{}", second.body);
+    stream.read_to_end(&mut buf).expect("EOF after the second response");
+    assert!(buf.is_empty(), "bytes after the second response");
     handle.shutdown();
 }

@@ -6,9 +6,11 @@
 //! ground truth.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::Duration;
 use usi::prelude::*;
+use usi::server::client::{read_response, Client, Reply};
 use usi::server::json::{fan_out_response_json, query_response_json, Json};
 use usi::server::{serve, FanOut};
 use usi::strings::UtilityAccumulator;
@@ -22,62 +24,6 @@ fn sample_index(seed: u64, n: usize) -> UsiIndex {
     let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..2.0)).collect();
     let ws = WeightedString::new(text, weights).unwrap();
     UsiBuilder::new().with_k(80).deterministic(seed).build(ws)
-}
-
-/// One blocking HTTP exchange; returns (status, body).
-fn exchange(addr: SocketAddr, request: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to test server");
-    stream.write_all(request.as_bytes()).unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").expect("complete response");
-    let status: u16 = head.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status code");
-    (status, body.to_string())
-}
-
-fn get(addr: SocketAddr, path: &str) -> (u16, String) {
-    // one-shot helpers opt out of keep-alive so read-to-EOF framing works
-    exchange(addr, &format!("GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"))
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
-    exchange(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    )
-}
-
-/// Reads one `Content-Length`-framed response from a persistent
-/// connection (a keep-alive client cannot read to EOF).
-fn read_framed_response(stream: &mut TcpStream) -> (u16, String, bool) {
-    let mut bytes = Vec::new();
-    let head_end = loop {
-        if let Some(pos) = bytes.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        let mut chunk = [0u8; 512];
-        let got = stream.read(&mut chunk).expect("response head");
-        assert!(got > 0, "server closed mid-head: {:?}", String::from_utf8_lossy(&bytes));
-        bytes.extend_from_slice(&chunk[..got]);
-    };
-    let head = String::from_utf8(bytes[..head_end].to_vec()).unwrap();
-    let status: u16 = head.split(' ').nth(1).and_then(|s| s.parse().ok()).expect("status code");
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .expect("Content-Length")
-        .trim()
-        .parse()
-        .unwrap();
-    let keep_alive = head.contains("Connection: keep-alive");
-    let mut body = bytes[head_end + 4..].to_vec();
-    let already = body.len();
-    body.resize(content_length, 0);
-    stream.read_exact(&mut body[already..]).expect("response body");
-    (status, String::from_utf8(body).unwrap(), keep_alive)
 }
 
 fn query_body(doc: &str, patterns: &[&[u8]]) -> String {
@@ -104,17 +50,18 @@ fn catalog_server_answers_match_direct_queries_byte_for_byte() {
     let handle =
         serve(Arc::clone(&catalog), listener, ServerConfig::with_workers(3)).expect("start server");
     let addr = handle.addr();
+    let mut client = Client::new(addr, Duration::from_secs(10));
 
     // ---- health and listing --------------------------------------------
-    let (status, body) = get(addr, "/healthz");
-    assert_eq!(status, 200);
+    let reply = client.get("/healthz").unwrap();
+    assert_eq!(reply.status, 200);
     // healthz carries extra fields (version, uptime); the leading keys
     // stay pinned so grep-style probes keep working
-    assert!(body.starts_with(r#"{"status":"ok","docs":3"#), "unexpected healthz body: {body}");
+    assert!(reply.body.starts_with(r#"{"status":"ok","docs":3"#), "healthz: {}", reply.body);
 
-    let (status, body) = get(addr, "/v1/docs");
-    assert_eq!(status, 200);
-    let parsed = Json::parse(&body).unwrap();
+    let reply = client.get("/v1/docs").unwrap();
+    assert_eq!(reply.status, 200);
+    let parsed = Json::parse(&reply.body).unwrap();
     let listed: Vec<&str> = parsed
         .get("docs")
         .and_then(Json::as_array)
@@ -124,9 +71,9 @@ fn catalog_server_answers_match_direct_queries_byte_for_byte() {
         .collect();
     assert_eq!(listed, names);
 
-    let (status, body) = get(addr, "/v1/docs/beta/stats");
-    assert_eq!(status, 200);
-    let parsed = Json::parse(&body).unwrap();
+    let reply = client.get("/v1/docs/beta/stats").unwrap();
+    assert_eq!(reply.status, 200);
+    let parsed = Json::parse(&reply.body).unwrap();
     assert_eq!(parsed.get("n").and_then(Json::as_f64), Some(indexes[1].text().len() as f64));
 
     // ---- a mixed pattern batch -----------------------------------------
@@ -145,7 +92,7 @@ fn catalog_server_answers_match_direct_queries_byte_for_byte() {
     // ---- single-document batch: byte-for-byte vs direct queries -------
     let direct: Vec<UsiQuery> = refs.iter().map(|p| indexes[1].query(p)).collect();
     let expected = query_response_json("beta", &refs, &direct).encode();
-    let (status, body) = post(addr, "/v1/query", &query_body("beta", &refs));
+    let Reply { status, body, .. } = client.post("/v1/query", &query_body("beta", &refs)).unwrap();
     assert_eq!(status, 200);
     assert_eq!(body, expected, "server batch answers must equal direct UsiIndex::query answers");
 
@@ -173,9 +120,9 @@ fn catalog_server_answers_match_direct_queries_byte_for_byte() {
         })
         .collect();
     let expected = fan_out_response_json(&refs, &fans).encode();
-    let (status, body) = post(addr, "/v1/query", &query_body("*", &refs));
-    assert_eq!(status, 200);
-    assert_eq!(body, expected, "fan-out must merge exactly the per-index accumulators");
+    let reply = client.post("/v1/query", &query_body("*", &refs)).unwrap();
+    assert_eq!(reply.status, 200);
+    assert_eq!(reply.body, expected, "fan-out must merge exactly the per-index accumulators");
 
     // ---- catalog batch spread equals the serial loop at any width ------
     for threads in [1usize, 3, 16] {
@@ -183,9 +130,9 @@ fn catalog_server_answers_match_direct_queries_byte_for_byte() {
     }
 
     // ---- error paths ----------------------------------------------------
-    assert_eq!(post(addr, "/v1/query", &query_body("missing", &refs)).0, 404);
-    assert_eq!(post(addr, "/v1/query", "{broken").0, 400);
-    assert_eq!(get(addr, "/v1/docs/missing/stats").0, 404);
+    assert_eq!(client.post("/v1/query", &query_body("missing", &refs)).unwrap().status, 404);
+    assert_eq!(client.post("/v1/query", "{broken").unwrap().status, 400);
+    assert_eq!(client.get("/v1/docs/missing/stats").unwrap().status, 404);
 
     handle.shutdown();
     assert!(
@@ -208,13 +155,14 @@ fn keep_alive_connection_stays_open_across_sequential_requests() {
     // the pre-keep-alive server closed after the first
     let mut stream = TcpStream::connect(addr).expect("connect once");
     let local = stream.local_addr().unwrap();
+    let mut buf = Vec::new();
 
     for round in 0..3 {
         stream.write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
-        let (status, body, keep_alive) = read_framed_response(&mut stream);
-        assert_eq!(status, 200, "round {round}");
-        assert!(body.starts_with(r#"{"status":"ok","docs":1"#), "round {round}: {body}");
-        assert!(keep_alive, "round {round}: server must advertise keep-alive");
+        let reply = read_response(&mut stream, &mut buf).unwrap();
+        assert_eq!(reply.status, 200, "round {round}");
+        assert!(reply.body.starts_with(r#"{"status":"ok","docs":1"#), "round {round}");
+        assert!(reply.keep_alive, "round {round}: server must advertise keep-alive");
         // the socket is provably the same one: the local port never changed
         assert_eq!(stream.local_addr().unwrap(), local, "round {round}");
     }
@@ -234,16 +182,16 @@ fn keep_alive_connection_stays_open_across_sequential_requests() {
         .unwrap();
     let direct: Vec<UsiQuery> = patterns.iter().map(|p| index.query(p)).collect();
     let expected = query_response_json("solo", &patterns, &direct).encode();
-    let (status, body, keep_alive) = read_framed_response(&mut stream);
-    assert_eq!(status, 200);
-    assert_eq!(body, expected);
-    assert!(keep_alive);
+    let reply = read_response(&mut stream, &mut buf).unwrap();
+    assert_eq!(reply.status, 200);
+    assert_eq!(reply.body, expected);
+    assert!(reply.keep_alive);
 
     // asking to close ends the connection cleanly (EOF after response)
     stream.write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n").unwrap();
-    let (status, _, keep_alive) = read_framed_response(&mut stream);
-    assert_eq!(status, 200);
-    assert!(!keep_alive, "final response must say Connection: close");
+    let reply = read_response(&mut stream, &mut buf).unwrap();
+    assert_eq!(reply.status, 200);
+    assert!(!reply.keep_alive, "final response must say Connection: close");
     let mut rest = Vec::new();
     stream.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty(), "no bytes after the final response");
