@@ -7,13 +7,11 @@
 //! implements it, and consumers (the server's `Doc`, the CLI, tests)
 //! dispatch through `&dyn QueryEngine` without caring whether the
 //! answers come from owned heap structures, a memory-mapped `.usix`
-//! view, an epoch-rebuilding [`crate::DynamicUsi`], or a segmented
-//! ingestion index.
+//! view, or a segmented ingestion index.
 //!
 //! Implementations in this workspace:
 //!
 //! * [`UsiIndex`] — the frozen index, either backing;
-//! * [`crate::DynamicUsi`] — append-only with epoch rebuilds;
 //! * `usi_ingest::IngestIndex` / `usi_ingest::IngestPipeline` — the
 //!   segmented append log (the pipeline locks internally, so it
 //!   implements the trait directly on `&self`).

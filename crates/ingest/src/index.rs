@@ -1,13 +1,11 @@
 //! The segmented append-only index: base + sealed segments + live tail.
 //!
 //! The paper defers true online maintenance of `USI_TOP-K` ("can in
-//! general be very costly"); `usi_core::DynamicUsi` works around that
-//! with one tail buffer and whole-index epoch rebuilds. This module
-//! replaces the monolithic rebuild with an LSM-style layout:
+//! general be very costly"). Instead of rebuilding the whole index
+//! every few thousand letters, this module keeps an LSM-style layout:
 //!
 //! * a frozen **base** [`UsiIndex`] covers the original document;
-//! * appended letters land in an in-memory **tail** (exactly the
-//!   `DynamicUsi` tail);
+//! * appended letters land in an in-memory **tail**;
 //! * when the tail crosses `seal_threshold` it is **sealed** into an
 //!   immutable generation-0 segment — a small `UsiIndex` built with
 //!   `BuildOptions { threads }` — instead of rebuilding everything;
@@ -472,7 +470,7 @@ impl IngestIndex {
     /// Like [`IngestIndex::query`] but returns the raw accumulator, so
     /// multi-document callers (the serving layer's fan-out) can merge
     /// further occurrences before extracting an aggregate. The reported
-    /// [`QuerySource`] is the base index's (matching `DynamicUsi`).
+    /// [`QuerySource`] is the base index's.
     pub fn query_accumulator(&self, pattern: &[u8]) -> (UtilityAccumulator, QuerySource) {
         let m = pattern.len();
         if m == 0 || m > self.len() {
@@ -718,6 +716,34 @@ mod tests {
     }
 
     #[test]
+    fn empty_tail_equals_static_index() {
+        // before any append (empty tail, no segments) the answers are
+        // the static index's over the base
+        let ws = WeightedString::uniform(b"banana".to_vec(), 1.0);
+        let idx = IngestIndex::new(builder(3, 5).build(ws), IngestOptions::default());
+        assert!(idx.segments().is_empty());
+        check_against_scratch(
+            &idx,
+            3,
+            5,
+            &[b"an".to_vec(), b"ana".to_vec(), b"x".to_vec(), b"banana".to_vec()],
+        );
+    }
+
+    #[test]
+    fn pattern_longer_than_text_then_grows_into_it() {
+        let ws = WeightedString::uniform(b"ab".to_vec(), 1.0);
+        let mut idx = IngestIndex::new(
+            builder(2, 6).build(ws),
+            IngestOptions { seal_threshold: 100, ..IngestOptions::default() },
+        );
+        assert_eq!(idx.query(b"abab").occurrences, 0);
+        idx.push(b'a', 1.0);
+        idx.push(b'b', 1.0);
+        assert_eq!(idx.query(b"abab").occurrences, 1);
+    }
+
+    #[test]
     fn boundary_spanning_occurrences_counted_once() {
         // base "aaa" + three sealed 1-letter segments + tail: "aa" in
         // "aaaaaaa" occurs 6 times, none double-counted
@@ -857,6 +883,38 @@ mod tests {
             assert_eq!(mapped.query(pattern), heap.query(pattern), "pattern {pattern:?}");
         }
         check_against_scratch(&mapped, 15, 8, &[text.clone(), b"zzz".to_vec()]);
+    }
+
+    /// `--threads N` ≡ serial for the incremental index: seals and
+    /// compactions built on 3 threads serialise byte-identically to
+    /// serial ones.
+    #[test]
+    fn threaded_segments_are_byte_identical_to_serial() {
+        let base = usi_datasets::Dataset::Hum.generate(4_000, 71);
+        let tail = usi_datasets::Dataset::Hum.generate(3_000, 72);
+        let segment_bytes = |threads: usize| -> Vec<Vec<u8>> {
+            let mut idx = IngestIndex::new(
+                builder(40, 73).build(base.clone()),
+                IngestOptions {
+                    seal_threshold: 700,
+                    compact_fanout: 2,
+                    threads,
+                    ..IngestOptions::default()
+                },
+            );
+            idx.append(tail.text(), tail.weights());
+            idx.compact_to_quiescence();
+            assert!(idx.compactions() > 0, "tiers must have merged");
+            idx.segments()
+                .iter()
+                .map(|seg| {
+                    let mut bytes = Vec::new();
+                    seg.index().write_to(&mut bytes).unwrap();
+                    bytes
+                })
+                .collect()
+        };
+        assert_eq!(segment_bytes(1), segment_bytes(3));
     }
 
     #[test]

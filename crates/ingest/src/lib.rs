@@ -3,11 +3,10 @@
 //! "online maintenance" problem.
 //!
 //! The paper observes that maintaining `USI_TOP-K` under appends "can
-//! in general be very costly" and defers it; `usi_core::DynamicUsi`
-//! answers with whole-index epoch rebuilds — fine for one document, a
-//! dead end for a served corpus (every append eventually stalls behind
-//! a full rebuild, and nothing survives a crash). This crate replaces
-//! that with an LSM-style pipeline per document:
+//! in general be very costly" and defers it. The simplest workaround,
+//! rebuilding the whole index every few thousand letters, stalls every
+//! append behind a full `O(n)` build, and nothing survives a crash.
+//! This crate instead keeps an LSM-style pipeline per document:
 //!
 //! * [`wal`] — the `.usil` write-ahead log: length-prefixed,
 //!   CRC-checked records, fsync'd before acknowledgement, with clean

@@ -15,8 +15,8 @@
 //! [`CompactionPlan`](crate::index::CompactionPlan) under a read lock,
 //! builds the merged segment **off-lock** (queries and appends proceed
 //! meanwhile), and installs it under a brief write lock — so the write
-//! path never stalls behind a rebuild, the failure mode that motivated
-//! replacing `DynamicUsi`'s epoch design.
+//! path never stalls behind a rebuild, the failure mode of rebuilding
+//! the whole index every threshold letters.
 //!
 //! Crash recovery: [`IngestPipeline::open`] replays the log over the
 //! base index (truncating a torn tail first). Replay re-runs the same

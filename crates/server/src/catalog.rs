@@ -622,12 +622,8 @@ impl Catalog {
         Ok((id, index))
     }
 
-    /// Loads one `.usix` file; the document id is the file stem.
-    pub fn load_usix(&self, path: &Path) -> Result<Arc<Doc>, CatalogError> {
-        self.load_usix_with(path, LoadOptions::default())
-    }
-
-    /// [`Catalog::load_usix`] with explicit [`LoadOptions`].
+    /// Loads one `.usix` file with explicit [`LoadOptions`]; the
+    /// document id is the file stem.
     pub fn load_usix_with(&self, path: &Path, opts: LoadOptions) -> Result<Arc<Doc>, CatalogError> {
         let (id, index) = Self::parse_usix(path, opts.mmap)?;
         let spec = ReloadSpec { path: path.to_path_buf(), mmap: opts.mmap };
@@ -639,20 +635,10 @@ impl Catalog {
     /// replayed — torn tail truncated — if present). The index is
     /// parsed exactly once and moves into the pipeline: no transient
     /// static copy is ever registered, so promoting a large corpus
-    /// costs no extra peak memory. Returns the doc and the WAL replay
+    /// costs no extra peak memory. With `opts.mmap` the base index is
+    /// a zero-copy storage view (sealed segments follow
+    /// `config.segment_dir`). Returns the doc and the WAL replay
     /// report.
-    pub fn load_usix_ingest(
-        &self,
-        path: &Path,
-        wal_path: &Path,
-        config: usi_ingest::IngestConfig,
-    ) -> Result<(Arc<Doc>, usi_ingest::Replay), CatalogError> {
-        self.load_usix_ingest_with(path, wal_path, config, LoadOptions::default())
-    }
-
-    /// [`Catalog::load_usix_ingest`] with explicit [`LoadOptions`]:
-    /// with `mmap` the base index is a zero-copy storage view (sealed
-    /// segments follow `config.segment_dir`).
     pub fn load_usix_ingest_with(
         &self,
         path: &Path,
@@ -667,33 +653,18 @@ impl Catalog {
     }
 
     /// Loads a path that is either one `.usix` file or a directory whose
-    /// `.usix` entries are all loaded, parsing directory entries on up
-    /// to `available_parallelism` workers (each load is independent).
-    /// Returns the ids loaded (sorted for directories: deterministic
-    /// across filesystems). See [`Catalog::load_path_threads`].
-    pub fn load_path(&self, path: &Path) -> Result<Vec<String>, CatalogError> {
-        self.load_path_with(path, LoadOptions::default())
-    }
-
-    /// [`Catalog::load_path`] with an explicit worker count.
-    pub fn load_path_threads(
-        &self,
-        path: &Path,
-        threads: usize,
-    ) -> Result<Vec<String>, CatalogError> {
-        self.load_path_with(path, LoadOptions { threads, ..LoadOptions::default() })
-    }
-
-    /// [`Catalog::load_path`] with explicit [`LoadOptions`]. Files are
-    /// read and validated concurrently on scoped threads; documents are
-    /// then registered in sorted file order. On failure the error
-    /// reported is the **first** failing file in that order (not
-    /// whichever worker lost the race), and no document from the batch
-    /// is registered — a failed load never leaves a half-loaded
-    /// directory behind. Directory entries that are not regular
-    /// `.usix` files — stray `.usil` WALs living next to their
-    /// indexes, editor droppings, subdirectories — are skipped, not
-    /// errors.
+    /// `.usix` entries are all loaded. Returns the ids loaded (sorted
+    /// for directories: deterministic across filesystems). Directory
+    /// entries are read and validated concurrently on up to
+    /// [`LoadOptions::threads`] scoped threads (each load is
+    /// independent); documents are then registered in sorted file
+    /// order. On failure the error reported is the **first** failing
+    /// file in that order (not whichever worker lost the race), and no
+    /// document from the batch is registered — a failed load never
+    /// leaves a half-loaded directory behind. Directory entries that
+    /// are not regular `.usix` files — stray `.usil` WALs living next
+    /// to their indexes, editor droppings, subdirectories — are
+    /// skipped, not errors.
     pub fn load_path_with(
         &self,
         path: &Path,
@@ -1102,10 +1073,11 @@ mod tests {
             index.write_to(&mut f).unwrap();
         }
         let serial = Catalog::new(4);
-        let serial_ids = serial.load_path_threads(&dir, 1).unwrap();
+        let serial_ids =
+            serial.load_path_with(&dir, LoadOptions { threads: 1, mmap: false }).unwrap();
         for threads in [2usize, 3, 16] {
             let parallel = Catalog::new(4);
-            let ids = parallel.load_path_threads(&dir, threads).unwrap();
+            let ids = parallel.load_path_with(&dir, LoadOptions { threads, mmap: false }).unwrap();
             assert_eq!(ids, serial_ids, "threads {threads}");
             assert_eq!(parallel.doc_ids(), serial.doc_ids());
             for id in &ids {
@@ -1136,7 +1108,9 @@ mod tests {
         std::fs::write(dir.join("README.txt"), b"not an index").unwrap();
         std::fs::create_dir_all(dir.join("segments.usix")).unwrap();
         let catalog = Catalog::new(2);
-        let ids = catalog.load_path(&dir).expect("stray entries must be skipped, not errors");
+        let ids = catalog
+            .load_path_with(&dir, LoadOptions::default())
+            .expect("stray entries must be skipped, not errors");
         assert_eq!(ids, vec!["doc0".to_string(), "doc1".to_string()]);
         assert_eq!(catalog.len(), 2);
     }
@@ -1152,7 +1126,7 @@ mod tests {
             index.write_to(&mut f).unwrap();
         }
         let owned = Catalog::new(2);
-        owned.load_path(&dir).unwrap();
+        owned.load_path_with(&dir, LoadOptions::default()).unwrap();
         let mapped = Catalog::new(2);
         let ids = mapped.load_path_with(&dir, LoadOptions { mmap: true, threads: 2 }).unwrap();
         assert_eq!(ids, owned.doc_ids());
@@ -1191,7 +1165,8 @@ mod tests {
         std::fs::write(dir.join("z-corrupt.usix"), b"also not an index").unwrap();
         for threads in [1usize, 2, 8] {
             let catalog = Catalog::new(2);
-            let err = catalog.load_path_threads(&dir, threads).unwrap_err();
+            let err =
+                catalog.load_path_with(&dir, LoadOptions { threads, mmap: false }).unwrap_err();
             assert!(
                 err.to_string().contains("a-corrupt"),
                 "threads {threads}: expected the first bad file, got: {err}"

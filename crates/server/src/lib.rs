@@ -25,10 +25,10 @@
 //! ```no_run
 //! use std::net::TcpListener;
 //! use std::sync::Arc;
-//! use usi_server::{serve, Catalog, ServerConfig};
+//! use usi_server::{serve, Catalog, LoadOptions, ServerConfig};
 //!
 //! let catalog = Arc::new(Catalog::new(8));
-//! catalog.load_path(std::path::Path::new("indexes/")).unwrap();
+//! catalog.load_path_with(std::path::Path::new("indexes/"), LoadOptions::default()).unwrap();
 //! let listener = TcpListener::bind("127.0.0.1:7878").unwrap();
 //! let handle = serve(catalog, listener, ServerConfig::with_workers(4)).unwrap();
 //! println!("listening on {}", handle.addr());

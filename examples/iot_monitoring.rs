@@ -4,7 +4,8 @@
 //! link-quality utility. The operator queries the aggregate quality of
 //! recurring beacon sequences while the stream keeps growing — the
 //! dynamic-USI scenario. New readings are appended through
-//! [`DynamicUsi`], which folds them into the static index in epochs.
+//! [`IngestIndex`], which seals them into small immutable segments next
+//! to the static index of the history.
 //!
 //! Run with: `cargo run --release --example iot_monitoring`
 
@@ -17,10 +18,9 @@ fn main() {
     let n0 = history.len();
     let probe = history.text()[1_000..1_016].to_vec(); // a recurring sweep fragment
 
-    let mut index = DynamicUsi::new(
-        UsiBuilder::new().with_k(n0 / 100).deterministic(17),
-        history,
-        50_000, // rebuild epoch: fold the tail in every 50k readings
+    let mut index = IngestIndex::new(
+        UsiBuilder::new().with_k(n0 / 100).deterministic(17).build(history),
+        IngestOptions { seal_threshold: 50_000, ..IngestOptions::default() }, // seal every 50k readings
     );
     let q0 = index.query(&probe);
     println!(
@@ -29,8 +29,8 @@ fn main() {
         q0.value.unwrap_or(0.0)
     );
 
-    // Live stream: 120k new readings arrive (three rebuild epochs), and
-    // the recurring sweep keeps appearing.
+    // Live stream: 120k new readings arrive (two seals), and the
+    // recurring sweep keeps appearing.
     let live = Dataset::Iot.generate(120_000, 14);
     for (i, (&b, &w)) in live.text().iter().zip(live.weights()).enumerate() {
         index.push(b, w);
@@ -38,12 +38,12 @@ fn main() {
             let q = index.query(&probe);
             println!(
                 "after {:>6} live readings: occurrences {}, utility {:.1}, \
-                 tail {} (rebuilds so far: {})",
+                 tail {} (seals so far: {})",
                 i + 1,
                 q.occurrences,
                 q.value.unwrap_or(0.0),
                 index.tail_len(),
-                index.rebuilds()
+                index.seals()
             );
         }
     }
@@ -51,9 +51,9 @@ fn main() {
     let q1 = index.query(&probe);
     assert!(q1.occurrences >= q0.occurrences);
     println!(
-        "\nfinal: {} readings indexed, {} epoch rebuilds, sequence utility {:.1}",
+        "\nfinal: {} readings indexed, {} seals, sequence utility {:.1}",
         index.len(),
-        index.rebuilds(),
+        index.seals(),
         q1.value.unwrap_or(0.0)
     );
 }

@@ -287,7 +287,7 @@ fn ingest_config(args: &Args) -> IngestConfig {
 }
 
 /// Expands the serve arguments (files or directories) into the sorted
-/// list of `.usix` files, mirroring `Catalog::load_path`'s selection.
+/// list of `.usix` files, mirroring `Catalog::load_path_with`'s selection.
 fn usix_files(paths: &[String]) -> Vec<std::path::PathBuf> {
     let mut files = Vec::new();
     for path in paths {

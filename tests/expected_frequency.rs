@@ -95,10 +95,15 @@ fn expected_frequency_survives_persistence() {
 #[test]
 fn dynamic_appends_with_product_locals() {
     let ws = dna_with_probabilities(300, 331);
-    let mut idx = DynamicUsi::new(
-        UsiBuilder::new().with_k(20).with_local_window(LocalWindow::Product).deterministic(333),
-        ws.clone(),
-        1_000,
+    // seals go through `segment_builder()`, which inherits the base's
+    // `LocalWindow::Product`
+    let mut idx = IngestIndex::new(
+        UsiBuilder::new()
+            .with_k(20)
+            .with_local_window(LocalWindow::Product)
+            .deterministic(333)
+            .build(ws.clone()),
+        IngestOptions { seal_threshold: 16, ..IngestOptions::default() },
     );
     let mut rng = StdRng::seed_from_u64(335);
     let mut shadow_text = ws.text().to_vec();
@@ -110,6 +115,7 @@ fn dynamic_appends_with_product_locals() {
         shadow_text.push(b);
         shadow_weights.push(w);
     }
+    assert_eq!(idx.seals(), 3);
     let shadow = WeightedString::new(shadow_text, shadow_weights).unwrap();
     for _ in 0..40 {
         let m = rng.gen_range(1..6usize);
