@@ -1,6 +1,8 @@
-//! Ablation benchmarks for three design choices:
-//! LCE backend inside Approximate-Top-K, plain vs LCP-accelerated
-//! suffix-array search, and the fast hasher behind the hash table `H`.
+//! Ablation benchmarks for the design choices behind construction and
+//! queries: the LCE backend inside Approximate-Top-K (naive vs
+//! fingerprint), the plain binary search over `SA` that every query path
+//! uses, the fast hasher behind the hash table `H`, phase-(ii) occurrence
+//! marking, and the key scheme of `H`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::HashMap;
@@ -8,18 +10,14 @@ use usi_core::oracle::TopKOracle;
 use usi_core::{approximate_top_k, ApproxConfig, UsiIndex};
 use usi_datasets::Dataset;
 use usi_strings::{Fingerprinter, FxHashMap, GlobalUtility};
-use usi_suffix::{lcp_array, suffix_array, EsaSearcher, LceBackend, SuffixArraySearcher};
+use usi_suffix::{lcp_array, suffix_array, LceBackend, SuffixArraySearcher};
 
 fn bench_lce_backends(c: &mut Criterion) {
     // DNA has enough repeat structure that the backends separate.
     let ws = Dataset::Hum.generate(60_000, 7);
     let mut group = c.benchmark_group("ablation_lce_backends");
     group.sample_size(10);
-    for (name, lce) in [
-        ("naive", LceBackend::Naive),
-        ("fingerprint", LceBackend::Fingerprint),
-        ("rmq", LceBackend::Rmq),
-    ] {
+    for (name, lce) in [("naive", LceBackend::Naive), ("fingerprint", LceBackend::Fingerprint)] {
         let cfg = ApproxConfig::new(600, 6).with_lce(lce);
         group.bench_with_input(BenchmarkId::from_parameter(name), &(), |b, _| {
             b.iter(|| approximate_top_k(ws.text(), &cfg))
@@ -32,8 +30,8 @@ fn bench_sa_search(c: &mut Criterion) {
     let ws = Dataset::Xml.generate(100_000, 7);
     let sa = suffix_array(ws.text());
     let searcher = SuffixArraySearcher::new(ws.text(), &sa);
-    // long patterns with long shared prefixes: the regime where the
-    // accelerated search skips work
+    // 200-byte patterns taken from the text: the compares near the final
+    // interval run the whole pattern length
     let patterns: Vec<&[u8]> = (0..64).map(|i| &ws.text()[i * 37..i * 37 + 200]).collect();
     let mut group = c.benchmark_group("ablation_sa_search");
     group.bench_function("plain_binary_search", |b| {
@@ -42,20 +40,6 @@ fn bench_sa_search(c: &mut Criterion) {
                 .iter()
                 .map(|p| searcher.interval(p).map(|r| r.len()).unwrap_or(0))
                 .sum::<usize>()
-        })
-    });
-    group.bench_function("lcp_accelerated", |b| {
-        b.iter(|| {
-            patterns
-                .iter()
-                .map(|p| searcher.interval_accelerated(p).map(|r| r.len()).unwrap_or(0))
-                .sum::<usize>()
-        })
-    });
-    let esa = EsaSearcher::new(ws.text());
-    group.bench_function("interval_tree_descent", |b| {
-        b.iter(|| {
-            patterns.iter().map(|p| esa.interval(p).map(|r| r.len()).unwrap_or(0)).sum::<usize>()
         })
     });
     group.finish();

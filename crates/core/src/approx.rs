@@ -23,7 +23,7 @@ use crate::topk::TopKEstimate;
 use usi_strings::{Fingerprinter, HeapSize};
 use usi_suffix::sparse::arithmetic_sample;
 use usi_suffix::{
-    lcp_intervals, sparse_suffix_array, FingerprintLce, LceBackend, LceOracle, NaiveLce, RmqLce,
+    lcp_intervals, sparse_suffix_array, FingerprintLce, LceBackend, LceOracle, NaiveLce,
 };
 
 /// Configuration for [`approximate_top_k`].
@@ -70,7 +70,6 @@ pub struct ApproxResult {
 enum Oracle<'t> {
     Naive(NaiveLce<'t>),
     Fingerprint(FingerprintLce),
-    Rmq(RmqLce),
 }
 
 impl LceOracle for Oracle<'_> {
@@ -78,7 +77,6 @@ impl LceOracle for Oracle<'_> {
         match self {
             Self::Naive(o) => o.text_len(),
             Self::Fingerprint(o) => o.text_len(),
-            Self::Rmq(o) => o.text_len(),
         }
     }
 
@@ -86,7 +84,6 @@ impl LceOracle for Oracle<'_> {
         match self {
             Self::Naive(o) => o.lce(i, j),
             Self::Fingerprint(o) => o.lce(i, j),
-            Self::Rmq(o) => o.lce(i, j),
         }
     }
 }
@@ -104,7 +101,6 @@ pub fn approximate_top_k(text: &[u8], cfg: &ApproxConfig) -> ApproxResult {
             text,
             Fingerprinter::with_base(cfg.fingerprint_base),
         )),
-        LceBackend::Rmq => Oracle::Rmq(RmqLce::new(text)),
     };
 
     let mut acc: Vec<TopKEstimate> = Vec::new();
@@ -256,10 +252,8 @@ mod tests {
         for s in [2usize, 4, 7] {
             let base = ApproxConfig::new(12, s);
             let naive = approximate_top_k(&text, &base.clone().with_lce(LceBackend::Naive));
-            let fp = approximate_top_k(&text, &base.clone().with_lce(LceBackend::Fingerprint));
-            let rmq = approximate_top_k(&text, &base.with_lce(LceBackend::Rmq));
+            let fp = approximate_top_k(&text, &base.with_lce(LceBackend::Fingerprint));
             assert_eq!(naive.items, fp.items, "s={s}");
-            assert_eq!(naive.items, rmq.items, "s={s}");
         }
     }
 

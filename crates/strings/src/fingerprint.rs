@@ -279,14 +279,6 @@ impl FingerprintTable {
         debug_assert!(i <= j && j < self.prefix.len());
         sub_mod(self.prefix[j], mul_mod(self.prefix[i], self.pow[j - i]))
     }
-
-    /// Appends one letter, extending the table (dynamic USI, Section X).
-    pub fn push(&mut self, b: u8) {
-        let h = add_mod(mul_mod(*self.prefix.last().unwrap(), self.fp.base), letter(b));
-        let p = mul_mod(*self.pow.last().unwrap(), self.fp.base);
-        self.prefix.push(h);
-        self.pow.push(p);
-    }
 }
 
 impl HeapSize for FingerprintTable {
@@ -385,18 +377,6 @@ mod tests {
                 assert_eq!(t.substring(i, j), f.fingerprint(&text[i..j]));
             }
         }
-    }
-
-    #[test]
-    fn table_push_extends() {
-        let f = fp();
-        let mut t = f.table(b"abra");
-        for &b in b"cadabra" {
-            t.push(b);
-        }
-        let full = f.table(b"abracadabra");
-        assert_eq!(t.substring(0, 11), full.substring(0, 11));
-        assert_eq!(t.substring(3, 9), full.substring(3, 9));
     }
 
     #[test]

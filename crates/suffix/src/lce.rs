@@ -5,19 +5,16 @@
 //! of its suffix comparisons through such an oracle; the paper uses
 //! Prezza's in-place structure (`O(1)` extra space, `polylog` query).
 //!
-//! We substitute a pluggable trait with three backends:
+//! We substitute a pluggable trait with two backends:
 //!
 //! * [`NaiveLce`] — `O(1)` space, `O(lce)` query: the right default for
 //!   texts without pathological repeats;
-//! * [`FingerprintLce`] — Karp–Rabin prefix table (`O(n)` space shared
-//!   with the index) + exponential/binary search, `O(log n)` query,
-//!   correct w.h.p.;
-//! * [`RmqLce`] — SA + rank + LCP + sparse-table RMQ, `O(1)` query,
-//!   `O(n log n)` space: the fastest when the structures already exist.
+//! * [`FingerprintLce`] — Karp–Rabin prefix table (`O(n)` space) +
+//!   binary search, `O(log n)` query, correct w.h.p.; its query cost
+//!   does not grow with the match length, so it is the remedy for
+//!   highly repetitive texts, where the naive oracle's scans run the
+//!   length of the repeat.
 
-use crate::lcp::{lcp_array, rank_array};
-use crate::rmq::SparseTableRmq;
-use crate::sais::suffix_array;
 use usi_strings::{FingerprintTable, Fingerprinter, HeapSize};
 
 /// An oracle answering longest-common-extension queries on a fixed text.
@@ -54,8 +51,6 @@ pub enum LceBackend {
     Naive,
     /// Karp–Rabin fingerprint binary search.
     Fingerprint,
-    /// Range-minimum over the LCP array.
-    Rmq,
 }
 
 /// Letter-by-letter scanning oracle. Zero extra space.
@@ -103,11 +98,6 @@ impl FingerprintLce {
     pub fn new(text: &[u8], fingerprinter: Fingerprinter) -> Self {
         Self { table: fingerprinter.table(text) }
     }
-
-    /// Reuses an existing prefix table (shared with the USI index).
-    pub fn from_table(table: FingerprintTable) -> Self {
-        Self { table }
-    }
 }
 
 impl LceOracle for FingerprintLce {
@@ -145,57 +135,6 @@ impl HeapSize for FingerprintLce {
     }
 }
 
-/// SA/LCP/RMQ oracle: `lce(i, j)` is the minimum of the LCP array between
-/// the ranks of the two suffixes. `O(1)` query after `O(n log n)` setup.
-#[derive(Debug, Clone)]
-pub struct RmqLce {
-    rank: Vec<u32>,
-    rmq: SparseTableRmq,
-    text_len: usize,
-}
-
-impl RmqLce {
-    /// Builds SA, LCP and the sparse table from scratch.
-    pub fn new(text: &[u8]) -> Self {
-        let sa = suffix_array(text);
-        let lcp = lcp_array(text, &sa);
-        Self::from_parts(text.len(), &sa, &lcp)
-    }
-
-    /// Builds from precomputed SA and LCP arrays (shared with the index).
-    pub fn from_parts(text_len: usize, sa: &[u32], lcp: &[u32]) -> Self {
-        Self { rank: rank_array(sa), rmq: SparseTableRmq::new(lcp), text_len }
-    }
-}
-
-impl LceOracle for RmqLce {
-    fn text_len(&self) -> usize {
-        self.text_len
-    }
-
-    fn lce(&self, i: usize, j: usize) -> usize {
-        let n = self.text_len;
-        debug_assert!(i <= n && j <= n);
-        if i == j {
-            return n - i;
-        }
-        if i == n || j == n {
-            return 0;
-        }
-        let (mut a, mut b) = (self.rank[i] as usize, self.rank[j] as usize);
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
-        }
-        self.rmq.min(a + 1, b + 1) as usize
-    }
-}
-
-impl HeapSize for RmqLce {
-    fn heap_bytes(&self) -> usize {
-        self.rank.heap_bytes() + self.rmq.heap_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,7 +145,6 @@ mod tests {
     fn check_all(text: &[u8]) {
         let naive = NaiveLce::new(text);
         let fp = FingerprintLce::new(text, Fingerprinter::with_base(0xACE));
-        let rmq = RmqLce::new(text);
         let n = text.len();
         for i in 0..=n {
             for j in 0..=n {
@@ -219,7 +157,6 @@ mod tests {
                 };
                 assert_eq!(naive.lce(i, j), want, "naive {i},{j} on {text:?}");
                 assert_eq!(fp.lce(i, j), want, "fp {i},{j} on {text:?}");
-                assert_eq!(rmq.lce(i, j), want, "rmq {i},{j} on {text:?}");
             }
         }
     }
@@ -250,11 +187,11 @@ mod tests {
     fn compare_suffixes_orders_like_slices() {
         use std::cmp::Ordering;
         let text = b"abaabab";
-        let oracle = RmqLce::new(text);
+        let fp = FingerprintLce::new(text, Fingerprinter::with_base(0xACE));
         for i in 0..text.len() {
             for j in 0..text.len() {
                 let want = text[i..].cmp(&text[j..]);
-                assert_eq!(oracle.compare_suffixes(text, i, j), want, "{i} {j}");
+                assert_eq!(fp.compare_suffixes(text, i, j), want, "{i} {j}");
             }
         }
         assert_eq!(NaiveLce::new(text).compare_suffixes(text, 2, 2), Ordering::Equal);

@@ -19,11 +19,7 @@ pub fn lcp_array(text: &[u8], sa: &[u32]) -> Vec<u32> {
     if n == 0 {
         return lcp;
     }
-    // rank[i] = position of suffix i in the suffix array
-    let mut rank = vec![0u32; n];
-    for (r, &p) in sa.iter().enumerate() {
-        rank[p as usize] = r as u32;
-    }
+    let rank = inverse(sa);
     let mut h = 0usize;
     for i in 0..n {
         let r = rank[i] as usize;
@@ -62,7 +58,7 @@ pub fn lcp_array_threads(text: &[u8], sa: &[u32], threads: usize) -> Vec<u32> {
         return lcp_array(text, sa);
     }
     let threads = threads.min(n);
-    let rank = rank_array(sa);
+    let rank = inverse(sa);
     let mut plcp = vec![0u32; n];
     let chunk = n.div_ceil(threads);
     std::thread::scope(|scope| {
@@ -96,8 +92,8 @@ pub fn lcp_array_threads(text: &[u8], sa: &[u32], threads: usize) -> Vec<u32> {
     lcp
 }
 
-/// Computes the rank (inverse suffix array): `rank[sa[i]] = i`.
-pub fn rank_array(sa: &[u32]) -> Vec<u32> {
+/// The inverse suffix array: `rank[sa[r]] = r`.
+fn inverse(sa: &[u32]) -> Vec<u32> {
     let mut rank = vec![0u32; sa.len()];
     for (r, &p) in sa.iter().enumerate() {
         rank[p as usize] = r as u32;
@@ -169,7 +165,7 @@ mod tests {
     fn rank_is_inverse() {
         let text = b"abracadabra";
         let sa = suffix_array_naive(text);
-        let rank = rank_array(&sa);
+        let rank = inverse(&sa);
         for (r, &p) in sa.iter().enumerate() {
             assert_eq!(rank[p as usize] as usize, r);
         }

@@ -4,8 +4,7 @@
 //! suffix tree in `O(m + occ)`; we locate the suffix-array interval with
 //! binary search in `O(m log n)` and read the occurrences off `SA[lb..rb]`
 //! (the interval holds exactly the occurrences below the suffix tree's
-//! locus for `P`, so answers are unchanged). An
-//! LCP-accelerated variant is provided for the ablation bench.
+//! locus for `P`, so answers are unchanged).
 
 use std::cmp::Ordering;
 
@@ -144,81 +143,6 @@ impl<'a, A: SaAccess> SuffixArraySearcher<'a, A> {
     pub fn count(&self, pattern: &[u8]) -> usize {
         self.interval(pattern).map_or(0, |r| r.len())
     }
-
-    /// LCP-accelerated interval search: remembers how many pattern
-    /// letters already matched at both binary-search boundaries and skips
-    /// them. Examines fewer letters than [`SuffixArraySearcher::interval`]
-    /// on texts with long repeats, but its byte-at-a-time comparisons
-    /// lose to the plain search's vectorised slice compare in practice
-    /// (see the `ablation_sa_search` bench) — kept as the textbook
-    /// algorithm and for alphabets/platforms where memcmp is not
-    /// available.
-    pub fn interval_accelerated(&self, pattern: &[u8]) -> Option<std::ops::Range<usize>> {
-        if pattern.is_empty() {
-            return if self.sa.is_empty() { None } else { Some(0..self.sa.len()) };
-        }
-        let n = self.sa.len();
-        let m = pattern.len();
-
-        // Matched-prefix-length-aware comparison.
-        let cmp_from = |pos: u32, skip: usize| -> (Ordering, usize) {
-            let start = pos as usize + skip;
-            let mut k = skip;
-            while k < m && start + (k - skip) < self.text.len() {
-                match self.text[start + (k - skip)].cmp(&pattern[k]) {
-                    Ordering::Equal => k += 1,
-                    ord => return (ord, k),
-                }
-            }
-            if k == m {
-                (Ordering::Equal, k)
-            } else {
-                (Ordering::Less, k) // suffix exhausted: it is a proper prefix
-            }
-        };
-
-        // Lower bound with boundary match lengths (llcp/rlcp scheme,
-        // simplified: carry the smaller of the two boundary matches).
-        let lower = {
-            let (mut lo, mut hi) = (0usize, n);
-            let (mut mlo, mut mhi) = (0usize, 0usize);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                let skip = mlo.min(mhi);
-                let (ord, matched) = cmp_from(self.sa.at(mid), skip);
-                if ord == Ordering::Less {
-                    lo = mid + 1;
-                    mlo = matched.min(m);
-                } else {
-                    hi = mid;
-                    mhi = matched.min(m);
-                }
-            }
-            lo
-        };
-        let upper = {
-            let (mut lo, mut hi) = (0usize, n);
-            let (mut mlo, mut mhi) = (0usize, 0usize);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                let skip = mlo.min(mhi);
-                let (ord, matched) = cmp_from(self.sa.at(mid), skip);
-                if ord != Ordering::Greater {
-                    lo = mid + 1;
-                    mlo = matched.min(m);
-                } else {
-                    hi = mid;
-                    mhi = matched.min(m);
-                }
-            }
-            lo
-        };
-        if lower < upper {
-            Some(lower..upper)
-        } else {
-            None
-        }
-    }
 }
 
 /// `std`-style partition point over indices `0..n`.
@@ -249,7 +173,6 @@ mod tests {
         let mut got: Vec<u32> = s.occurrences(pattern).to_vec();
         got.sort_unstable();
         assert_eq!(got, occurrences_naive(text, pattern), "{text:?} / {pattern:?}");
-        assert_eq!(s.interval(pattern), s.interval_accelerated(pattern));
     }
 
     #[test]

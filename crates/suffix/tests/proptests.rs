@@ -5,8 +5,8 @@ use usi_strings::Fingerprinter;
 use usi_suffix::naive::{lcp_array_naive, occurrences_naive, suffix_array_naive};
 use usi_suffix::{
     lcp_array, lcp_array_threads, lcp_intervals, sparse_suffix_array, suffix_array,
-    suffix_array_induced_threads, suffix_array_sharded, suffix_array_threads, EsaSearcher,
-    FingerprintLce, LceOracle, NaiveLce, RmqLce, SuffixArraySearcher, SuffixTree,
+    suffix_array_induced_threads, suffix_array_sharded, suffix_array_threads, FingerprintLce,
+    LceOracle, NaiveLce, SuffixArraySearcher,
 };
 
 fn text_strategy(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -56,13 +56,11 @@ proptest! {
         prop_assume!(!text.is_empty());
         let naive = NaiveLce::new(&text);
         let fp = FingerprintLce::new(&text, Fingerprinter::with_base(seed));
-        let rmq = RmqLce::new(&text);
         let n = text.len();
         for i in (0..n).step_by(1 + n / 12) {
             for j in (0..n).step_by(1 + n / 12) {
                 let want = naive.lce(i, j);
                 prop_assert_eq!(fp.lce(i, j), want);
-                prop_assert_eq!(rmq.lce(i, j), want);
             }
         }
     }
@@ -75,7 +73,6 @@ proptest! {
         let mut got: Vec<u32> = s.occurrences(&pat).to_vec();
         got.sort_unstable();
         prop_assert_eq!(got, occurrences_naive(&text, &pat));
-        prop_assert_eq!(s.interval(&pat), s.interval_accelerated(&pat));
     }
 
     #[test]
@@ -104,21 +101,5 @@ proptest! {
         for w in idx.ssa.windows(2) {
             prop_assert!(text[w[0] as usize..] < text[w[1] as usize..]);
         }
-    }
-
-    #[test]
-    fn suffix_tree_counts_match_naive(text in text_strategy(80), pat in text_strategy(4)) {
-        prop_assume!(!pat.is_empty());
-        let st = SuffixTree::from_text(&text);
-        prop_assert_eq!(st.count(&pat), occurrences_naive(&text, &pat).len());
-    }
-
-    #[test]
-    fn interval_tree_matches_binary_search(text in text_strategy(150), pat in text_strategy(6)) {
-        prop_assume!(!pat.is_empty() && !text.is_empty());
-        let esa = EsaSearcher::new(&text);
-        let sa = suffix_array(&text);
-        let bin = SuffixArraySearcher::new(&text, &sa);
-        prop_assert_eq!(esa.interval(&pat), bin.interval(&pat));
     }
 }

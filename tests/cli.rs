@@ -8,8 +8,11 @@ fn usi() -> Command {
     Command::new(env!("CARGO_BIN_EXE_usi"))
 }
 
+/// A path in this process's own scratch directory, so concurrent
+/// `cargo test` runs never overwrite each other's files (the file names
+/// are already unique per test).
 fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("usi-cli-tests");
+    let dir = std::env::temp_dir().join(format!("usi-cli-tests-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
 }
@@ -206,18 +209,63 @@ fn ingest_appends_replays_and_matches_scratch_build() {
         .status()
         .unwrap()
         .success());
-    let out = usi()
-        .args(["query", "--json", full_index.to_str().unwrap(), "abc", "cab"])
-        .output()
-        .unwrap();
-    let scratch = String::from_utf8(out.stdout).unwrap();
     // compare pattern/occurrences/value line by line (the `source` field
     // may legitimately differ between the segmented and monolithic index)
-    for (replayed_line, scratch_line) in replayed.lines().zip(scratch.lines()) {
-        let strip = |line: &str| line.split(r#","source""#).next().unwrap_or_default().to_string();
-        assert_eq!(strip(replayed_line), strip(scratch_line));
-    }
-    assert_eq!(replayed.lines().count(), 2);
+    let scratch = json_answers(&full_index, &["abc", "cab"]);
+    assert_eq!(replayed.lines().map(strip_source).collect::<Vec<_>>(), scratch);
+    assert_eq!(scratch.len(), 2);
+}
+
+/// A `--json` answer line without its `source` field (cached vs
+/// computed), which differs between equally correct indexes.
+fn strip_source(line: &str) -> String {
+    line.split(r#","source""#).next().unwrap_or_default().to_string()
+}
+
+/// `usi query --json` answers for `patterns`, one [`strip_source`]d
+/// line per pattern.
+fn json_answers(index: &std::path::Path, patterns: &[&str]) -> Vec<String> {
+    let out =
+        usi().args(["query", "--json", index.to_str().unwrap()]).args(patterns).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).unwrap().lines().map(strip_source).collect()
+}
+
+#[test]
+fn approx_build_answers_like_exact_build() {
+    let text_path = tmp("approx.txt");
+    std::fs::write(&text_path, b"abracadabra_abracadabra_abracadabra").unwrap();
+    let build = |extra: &[&str], out_name: &str| {
+        let index_path = tmp(out_name);
+        let out = usi()
+            .args(["build", text_path.to_str().unwrap(), "--k", "12", "--seed", "42"])
+            .args(extra)
+            .args(["-o", index_path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        index_path
+    };
+    let exact = build(&[], "approx-exact.usix");
+    let approx = build(&["--approx", "3"], "approx-s3.usix");
+    let patterns = ["abra", "cad", "zzz"];
+    // Only occurrences and value are compared: the sampler may leave a
+    // pattern uncached (`computed`) that the exact build caches.
+    let want = [
+        r#"{"pattern":"abra","occurrences":6,"value":24"#,
+        r#"{"pattern":"cad","occurrences":3,"value":9"#,
+        r#"{"pattern":"zzz","occurrences":0,"value":0"#,
+    ];
+    assert_eq!(json_answers(&approx, &patterns), want);
+    assert_eq!(json_answers(&exact, &patterns), want);
+
+    let out = usi()
+        .args(["build", text_path.to_str().unwrap(), "--approx", "x"])
+        .args(["-o", tmp("approx-bad.usix").to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad --approx"));
 }
 
 #[test]
